@@ -50,8 +50,9 @@ int g_recreates = 60;
 // commit captures a wide set of pages and the log cycles thirds steadily.
 FlushResult Run(bool batched) {
   Rig rig;
-  // Third-flush disk time comes from the tracer's "fsd.flush_third"
-  // aggregate — the scheduler no longer keeps its own micros accounting.
+  // Third-flush disk time comes from the tracer's "fsd.ckpt" aggregate (no
+  // daemon runs and nothing calls Checkpoint(), so every checkpoint here is
+  // a third entry) — the scheduler keeps no micros accounting of its own.
   cedar::obs::DiskTracer tracer;
   rig.disk.set_tracer(&tracer);
   cedar::core::FsdConfig config;
@@ -86,9 +87,8 @@ FlushResult Run(bool batched) {
 
   FlushResult result;
   result.third_entries = fsd.log_stats().third_entries;
-  result.third_flush_pages = fsd.stats().third_flush_pages;
-  const cedar::obs::OpClassAggregate third =
-      tracer.AggregateFor("fsd.flush_third");
+  result.third_flush_pages = fsd.stats().ckpt_pages;
+  const cedar::obs::OpClassAggregate third = tracer.AggregateFor("fsd.ckpt");
   result.third_seek_us = third.seek_us;
   result.third_rot_us = third.rotational_us;
   result.third_busy_us = third.TotalUs();

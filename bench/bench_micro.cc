@@ -90,7 +90,8 @@ void BM_LogAppend(benchmark::State& state) {
   }
   for (auto _ : state) {
     CEDAR_CHECK_OK(
-        log.Append(pages, [](int) { return OkStatus(); }).status());
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); })
+            .status());
   }
 }
 BENCHMARK(BM_LogAppend)->Arg(1)->Arg(14)->Arg(52);

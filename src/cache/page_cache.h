@@ -57,9 +57,11 @@ struct Frame {
   // FSD bookkeeping.
   bool dirty = false;            // home sectors are stale
   bool dirty_since_log = false;  // changed since the last log capture
-  std::int32_t logged_third = -1;  // log third holding the latest image
-  std::vector<std::uint8_t> logged_image;  // image captured by that record
-  std::uint64_t logged_lsn = 0;  // LSN of the record holding logged_image
+  // LSN of the first record of the commit group holding the latest logged
+  // image (0 = none): checkpoints, third entry included, write the image
+  // home once their bound passes it.
+  std::uint64_t logged_lsn = 0;
+  std::vector<std::uint8_t> logged_image;  // image captured by that group
   bool is_leader = false;        // leader page (single home, no replica)
 
   // Intrusive LRU links, maintained by the cache. `key` is duplicated here
@@ -108,7 +110,7 @@ class PageCache {
     frame.data = std::move(data);
     frame.dirty = false;
     frame.dirty_since_log = false;
-    frame.logged_third = -1;
+    frame.logged_lsn = 0;
     frame.logged_image.clear();
     frame.is_leader = false;
     return frame;
@@ -297,8 +299,8 @@ class PageCache {
       frames_.erase(victim->key);
       ++evictions_;
     }
-    // If everything is dirty, grow past capacity; the next group commit /
-    // third flush will make frames clean again.
+    // If everything is dirty, grow past capacity; the next checkpoint will
+    // make frames clean again.
   }
 
   mutable std::mutex mu_;

@@ -1,17 +1,18 @@
 // The continuous checkpoint daemon (sibling of the commit daemon).
 //
-// FSD originally bounded recovery the cheap way: when the circular log
-// entered a new third, FlushThird synchronously wrote home every page whose
-// only durable copy lived there — a stop-the-world drain that stalls the
-// parallel commit path and caps how large the log can usefully be. The
-// checkpoint daemon replaces that economy with a continuous one: a
+// The paper bounds recovery the cheap way: entering a new third of the
+// circular log is a synchronous checkpoint to the third boundary — every
+// page whose only durable copy lives in that third goes home in one batch,
+// inside the force that crossed the boundary. That stalls the parallel
+// commit path and caps how large the log can usefully be. The checkpoint
+// daemon adds a continuous economy through the same checkpoint code: a
 // background thread watches live-log growth (the force path notifies it
 // whenever an append pushes the live span past the configured recovery
 // window), writes home the pages backing the oldest log region in small
 // elevator-ordered batches, and durably advances the log's oldest-record
 // pointer, so a crash-now mount replays a bounded window instead of up to
-// three thirds. FlushThird remains as the fallback for whatever the daemon
-// did not get to before a third wrapped.
+// three thirds. Third entry then finds its pages already home; when it
+// does not, it writes them itself and counts a fallback.
 //
 // Division of labor: this class owns only the thread and its wakeup state
 // (mutex at rank kCkpt — above kForce, so the force path can notify while
@@ -34,8 +35,8 @@ namespace cedar::core {
 class CkptDaemon {
  public:
   // One checkpoint round: check the live span and, if it exceeds the
-  // window, flush + advance. Runs on the daemon thread with no locks held
-  // by the daemon itself.
+  // window, write pages home + advance. Runs on the daemon thread with no
+  // locks held by the daemon itself.
   using RoundFn = std::function<void()>;
 
   explicit CkptDaemon(RoundFn round);

@@ -182,8 +182,8 @@ class Fsd::NtStore : public btree::PageStore {
       if (!fsd_->cache_.InsertIfAbsent(
               pid, std::vector<std::uint8_t>(good.begin(), good.end()))) {
         // Cached — never clobber a (possibly dirty) frame, and skip the
-        // repair: a frame with a newer image will reach home through the
-        // third-flush path anyway.
+        // repair: a frame with a newer image will reach home through a
+        // checkpoint anyway.
         if (pid == id) {
           CEDAR_CHECK(fsd_->cache_.ReadInto(id, cached));
           std::copy_n(cached.begin(), kPayload, out.begin());
@@ -313,7 +313,6 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
   c_.forces = metrics_.GetCounter("fsd.forces");
   c_.empty_forces = metrics_.GetCounter("fsd.empty_forces");
   c_.pages_captured = metrics_.GetCounter("fsd.pages_captured");
-  c_.third_flush_pages = metrics_.GetCounter("fsd.third_flush_pages");
   c_.piggyback_leader_writes =
       metrics_.GetCounter("fsd.piggyback_leader_writes");
   c_.piggyback_leader_verifies =
@@ -356,7 +355,6 @@ FsdStats Fsd::stats() const {
   s.forces = c_.forces->value();
   s.empty_forces = c_.empty_forces->value();
   s.pages_captured = c_.pages_captured->value();
-  s.third_flush_pages = c_.third_flush_pages->value();
   s.piggyback_leader_writes = c_.piggyback_leader_writes->value();
   s.piggyback_leader_verifies = c_.piggyback_leader_verifies->value();
   s.nt_repairs = c_.nt_repairs->value();
@@ -953,7 +951,6 @@ Status Fsd::MountDegradedLocked() {
       frame.data = page.data;
       frame.dirty = true;  // pins the frame; nothing writes it back
       frame.dirty_since_log = false;
-      frame.logged_third = -1;
       frame.logged_image.clear();
       frame.logged_lsn = 0;
       frame.is_leader = is_leader;
@@ -1386,83 +1383,71 @@ fs::HealthStats Fsd::Health() {
   return h;
 }
 
-Status Fsd::FlushThird(int third) {
-  // Called from inside AppendGroup while the append phase of a force holds
-  // force_mu_ with the gate OPEN, so mutators may be running: work from
-  // copied images and update flags through the cache's closure API.
-  //
-  // With VAM logging, a fresh base snapshot accompanies every third entry;
-  // recovery then needs only the deltas in the surviving records.
-  if (config_.durability.vam_logging) {
-    util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
-    CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
-                                    layout_.vam_sectors, boot_count_,
-                                    log_->next_lsn()));
+Status Fsd::SaveVamBase() {
+  if (!config_.durability.vam_logging) {
+    return OkStatus();
   }
-  // Pages whose latest logged image lives in `third` are about to lose it;
-  // write that image (not the possibly newer cache contents — those are
-  // covered by the record about to be appended) to the home sectors, as
-  // two elevator sweeps: all primaries (and leaders), then all replicas.
-  // A crash anywhere inside the flush is safe — the oldest-third pointer
-  // only advances after this returns, so replay still covers every page.
+  util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
+  return vam_.Save(disk_, layout_.vam_base, layout_.vam_sectors, boot_count_,
+                   log_->next_lsn());
+}
+
+Result<std::size_t> Fsd::WriteHome(std::uint64_t bound, std::size_t chunk) {
+  // Third entry and checkpoints run with the gate OPEN, so mutators may be
+  // running: work from copied images and update flags through the cache's
+  // closure API. Each victim's logged image (not the possibly newer cache
+  // contents — later records cover those) goes home. A crash anywhere in
+  // here is safe: the log pointer only moves after this returns, so replay
+  // still covers every page not yet home.
   struct Victim {
     std::uint32_t key = 0;
+    std::uint64_t lsn = 0;
     std::vector<std::uint8_t> image;
   };
   std::vector<Victim> victims;
   cache_.ForEach([&](std::uint32_t key, cache::Frame& frame) {
-    if (frame.logged_third != third) {
+    if (frame.logged_lsn == 0 || frame.logged_lsn >= bound) {
       return;
     }
     if (frame.is_leader && !frame.dirty) {
       // Piggybacked to disk already; nothing to do.
-      frame.logged_third = -1;
       frame.logged_image.clear();
       frame.logged_lsn = 0;
       return;
     }
-    victims.push_back(Victim{.key = key, .image = frame.logged_image});
+    victims.push_back(Victim{
+        .key = key, .lsn = frame.logged_lsn, .image = frame.logged_image});
   });
-  if (victims.empty()) {
-    return OkStatus();
+  for (std::size_t begin = 0; begin < victims.size();) {
+    const std::size_t n = std::min(chunk, victims.size() - begin);
+    HomeBatch primary(disk_, config_.durability.batched_writeback);
+    HomeBatch replica(disk_, config_.durability.batched_writeback);
+    for (std::size_t j = begin; j < begin + n; ++j) {
+      QueueHome(primary, replica, victims[j].key, victims[j].image);
+    }
+    CEDAR_RETURN_IF_ERROR(FlushHomeBatch(primary));
+    CEDAR_RETURN_IF_ERROR(FlushHomeBatch(replica));
+    for (std::size_t j = begin; j < begin + n; ++j) {
+      const Victim& victim = victims[j];
+      // A frame stays dirty when it was re-dirtied since capture OR when the
+      // force in progress captured it (its new image is still en route to
+      // the log; going clean here would make it evictable and orphan that
+      // image).
+      const bool capturing = capture_keys_.contains(victim.key);
+      cache_.Apply(victim.key, [&](cache::Frame& frame) {
+        if (frame.logged_lsn != victim.lsn) {
+          return;  // raced an erase + refill; nothing to retire
+        }
+        frame.logged_lsn = 0;
+        frame.dirty = frame.dirty_since_log || capturing;
+        if (!frame.dirty) {
+          frame.logged_image.clear();
+        }
+      });
+    }
+    begin += n;
   }
-  // With the checkpoint daemon keeping up, every page logged in this third
-  // went home (and was retired) long before the log wrapped back into it —
-  // this counter measures what the daemon did NOT get to in time.
-  c_.third_flush_fallbacks->Increment();
-  HomeBatch primary(disk_, config_.durability.batched_writeback);
-  HomeBatch replica(disk_, config_.durability.batched_writeback);
-  for (const Victim& victim : victims) {
-    QueueHome(primary, replica, victim.key, victim.image);
-  }
-  // Disk time spent here is attributed to the "fsd.flush_third" op class by
-  // the tracer (with its full seek/rotation/transfer breakdown); the old
-  // before/after DiskStats diff this replaces lived in FsdStats.
-  obs::ScopedOp flush_scope(disk_->tracer(), "fsd.flush_third");
-  Status status = FlushHomeBatch(primary);
-  if (status.ok()) {
-    status = FlushHomeBatch(replica);
-  }
-  CEDAR_RETURN_IF_ERROR(status);
-  for (const Victim& victim : victims) {
-    c_.third_flush_pages->Increment();
-    // A frame stays dirty when it was re-dirtied since capture OR when the
-    // force in progress captured it (its new image is still en route to the
-    // log; going clean here would make it evictable and orphan that image).
-    const bool capturing = capture_keys_.contains(victim.key);
-    cache_.Apply(victim.key, [&](cache::Frame& frame) {
-      if (frame.logged_third != third) {
-        return;  // raced an erase + refill; nothing to retire
-      }
-      frame.logged_third = -1;
-      frame.logged_lsn = 0;
-      frame.dirty = frame.dirty_since_log || capturing;
-      if (!frame.dirty) {
-        frame.logged_image.clear();
-      }
-    });
-  }
-  return OkStatus();
+  return victims.size();
 }
 
 Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
@@ -1573,7 +1558,24 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   // the cache's closure API; a frame deleted mid-append simply drops out
   // (its tombstone is queued for the next force).
 
-  auto flush_fn = [this](int third) { return FlushThird(third); };
+  // Entering a new log third is a synchronous checkpoint to the third
+  // boundary: the VAM base first (recovery then needs only the deltas in
+  // the surviving records), then every page logged below `bound` in one
+  // elevator batch. The log drops those records after this returns.
+  auto enter_third = [this](std::uint64_t bound) -> Status {
+    CEDAR_RETURN_IF_ERROR(SaveVamBase());
+    obs::ScopedOp ckpt_scope(disk_->tracer(), "fsd.ckpt");
+    CEDAR_ASSIGN_OR_RETURN(const std::size_t pages,
+                           WriteHome(bound, kOneBatch));
+    c_.ckpt_pages->Add(pages);
+    if (pages > 0) {
+      // With the checkpoint daemon keeping up, every page logged in this
+      // third went home long before the log wrapped back into it — this
+      // counter measures what the daemon did NOT get to in time.
+      c_.third_flush_fallbacks->Increment();
+    }
+    return OkStatus();
+  };
 
   // The whole force goes out as commit groups: recovery replays a group
   // only if its final record survived, so a crash mid-force can never
@@ -1590,10 +1592,10 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   std::size_t logged_upto = 0;
   while (logged_upto < images.size()) {
     const std::size_t n = std::min(group_pages, images.size() - logged_upto);
-    const std::uint64_t lsn = log_->next_lsn();
-    Result<int> third = log_->AppendGroup(
-        std::span<const PageImage>(images.data() + logged_upto, n), flush_fn);
-    status = third.status();
+    Result<std::uint64_t> lsn = log_->AppendGroup(
+        std::span<const PageImage>(images.data() + logged_upto, n),
+        enter_third);
+    status = lsn.status();
     if (!status.ok()) {
       break;
     }
@@ -1603,8 +1605,7 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
         continue;
       }
       cache_.Apply(keys[index - frames_begin], [&](cache::Frame& frame) {
-        frame.logged_third = *third;
-        frame.logged_lsn = lsn;
+        frame.logged_lsn = *lsn;
         frame.logged_image = images[index].data;
         frame.dirty = true;
       });
@@ -1813,7 +1814,7 @@ void Fsd::StopCkptDaemon() { ckpt_daemon_->Stop(); }
 std::uint32_t Fsd::CheckpointWindowSectors() const {
   const std::uint32_t window = config_.checkpoint.window_sectors;
   if (window == 0) {
-    return log_->third_sectors();  // match the old FlushThird exposure
+    return log_->third_sectors();  // the exposure of third entry alone
   }
   return std::min(window, log_->record_area_sectors());
 }
@@ -1844,74 +1845,15 @@ void Fsd::CkptRound() {
 Status Fsd::CheckpointBatch(std::uint64_t target) {
   // Caller holds force_mu_ with the gate OPEN: mutators run concurrently,
   // but no force is in its capture or append phase, so capture_keys_ is
-  // empty and frame log tags are stable except through erase + refill
-  // (guarded below). Victims are pages whose latest logged image has LSN
-  // below the advance target — the tag is read before the group append, so
-  // tag <= true record LSN and this selection only over-includes (an extra
-  // home write of an image the log still covers, which replay tolerates).
-  struct Victim {
-    std::uint32_t key = 0;
-    std::uint64_t lsn = 0;
-    std::vector<std::uint8_t> image;
-  };
-  std::vector<Victim> victims;
-  cache_.ForEach([&](std::uint32_t key, cache::Frame& frame) {
-    if (frame.logged_lsn == 0 || frame.logged_lsn >= target) {
-      return;
-    }
-    if (frame.is_leader && !frame.dirty) {
-      // Piggybacked to disk already; nothing to do.
-      frame.logged_third = -1;
-      frame.logged_image.clear();
-      frame.logged_lsn = 0;
-      return;
-    }
-    victims.push_back(
-        Victim{.key = key, .lsn = frame.logged_lsn, .image = frame.logged_image});
-  });
-
+  // empty. Home writes go out in small elevator-ordered chunks so a
+  // checkpoint never monopolizes the disk the way one unchunked batch does.
   obs::ScopedOp ckpt_scope(disk_->tracer(), "fsd.ckpt");
-  // Home writes go out in small elevator-ordered chunks — primaries (and
-  // leaders) before replicas within each chunk — so a checkpoint never
-  // monopolizes the disk the way a full synchronous third drain does.
-  const std::size_t chunk =
-      std::max<std::uint32_t>(1, config_.checkpoint.batch_pages);
-  for (std::size_t begin = 0; begin < victims.size(); begin += chunk) {
-    const std::size_t n = std::min(chunk, victims.size() - begin);
-    HomeBatch primary(disk_, config_.durability.batched_writeback);
-    HomeBatch replica(disk_, config_.durability.batched_writeback);
-    for (std::size_t j = 0; j < n; ++j) {
-      QueueHome(primary, replica, victims[begin + j].key,
-                victims[begin + j].image);
-    }
-    CEDAR_RETURN_IF_ERROR(FlushHomeBatch(primary));
-    CEDAR_RETURN_IF_ERROR(FlushHomeBatch(replica));
-    for (std::size_t j = 0; j < n; ++j) {
-      const Victim& victim = victims[begin + j];
-      c_.ckpt_pages->Increment();
-      cache_.Apply(victim.key, [&](cache::Frame& frame) {
-        if (frame.logged_lsn != victim.lsn) {
-          return;  // raced an erase + refill; nothing to retire
-        }
-        frame.logged_third = -1;
-        frame.logged_lsn = 0;
-        frame.dirty = frame.dirty_since_log;
-        if (!frame.dirty) {
-          frame.logged_image.clear();
-        }
-      });
-    }
-  }
-  // VAM base before the pointer moves: the in-memory bitmaps already hold
-  // every delta in the records about to be dropped (deltas apply at op
-  // time), and the next_lsn stamp makes surviving-record deltas re-apply
-  // idempotently at recovery.
-  if (config_.durability.vam_logging) {
-    util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
-    CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
-                                    layout_.vam_sectors, boot_count_,
-                                    log_->next_lsn()));
-  }
+  CEDAR_RETURN_IF_ERROR(SaveVamBase());
+  CEDAR_ASSIGN_OR_RETURN(
+      const std::size_t pages,
+      WriteHome(target, std::max<std::uint32_t>(
+                            1, config_.checkpoint.batch_pages)));
+  c_.ckpt_pages->Add(pages);
   // Only after every home write above is on disk does the oldest-record
   // pointer advance (a separate, later disk write) — a crash at any point
   // replays from a pointer that still covers whatever was not yet home.
@@ -1987,27 +1929,10 @@ Status Fsd::ShutdownLocked() {
     return OkStatus();
   }
   CEDAR_RETURN_IF_ERROR(ForceLogImpl(GateMode::kAlreadyClosed));
-  // Write every dirty page home (the force above made cache contents equal
-  // to the last logged images): all primaries in one elevator sweep, then
-  // all replicas.
-  std::vector<std::pair<std::uint32_t, cache::Frame*>> dirty;
-  cache_.ForEach([&](std::uint32_t key, cache::Frame& frame) {
-    if (frame.dirty) {
-      dirty.emplace_back(key, &frame);
-    }
-  });
-  HomeBatch primary(disk_, config_.durability.batched_writeback);
-  HomeBatch replica(disk_, config_.durability.batched_writeback);
-  for (auto& [key, frame] : dirty) {
-    QueueHome(primary, replica, key, frame->data);
-  }
-  CEDAR_RETURN_IF_ERROR(FlushHomeBatch(primary));
-  CEDAR_RETURN_IF_ERROR(FlushHomeBatch(replica));
-  for (auto& [key, frame] : dirty) {
-    frame->dirty = false;
-    frame->logged_third = -1;
-    frame->logged_image.clear();
-  }
+  // Write every logged page home (the force above made cache contents equal
+  // to the last logged images) in one batch. The log pointer stays put: the
+  // clean root written below makes the next mount skip the log.
+  CEDAR_RETURN_IF_ERROR(WriteHome(log_->next_lsn(), kOneBatch).status());
   CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
                                   layout_.vam_sectors, boot_count_,
                                   log_->next_lsn()));
@@ -3087,7 +3012,6 @@ void Fsd::UpsertLeader(std::uint32_t key,
     frame.data = image;
     frame.dirty = true;
     frame.dirty_since_log = true;
-    frame.logged_third = -1;
     frame.logged_lsn = 0;
     frame.logged_image.clear();
     frame.is_leader = true;

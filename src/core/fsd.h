@@ -34,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,20 +65,19 @@ namespace cedar::core {
 // A point-in-time view of FSD's counters, materialized from the metrics
 // registry (the registry is the source of truth; this struct survives as a
 // convenience for existing tests and benches). Disk time per phase now
-// comes from the disk tracer's op-class aggregates ("fsd.flush_third",
+// comes from the disk tracer's op-class aggregates ("fsd.ckpt",
 // "fsd.log_force") instead of duplicated micros fields here.
 struct FsdStats {
   std::uint64_t forces = 0;            // group commits that wrote the log
   std::uint64_t empty_forces = 0;      // timer fired with nothing dirty
   std::uint64_t pages_captured = 0;    // page images handed to the log
-  std::uint64_t third_flush_pages = 0; // home writes done at third entry
   std::uint64_t piggyback_leader_writes = 0;
   std::uint64_t piggyback_leader_verifies = 0;
   std::uint64_t nt_repairs = 0;        // replica repairs on read
   std::uint64_t recovery_pages_replayed = 0;
   std::uint64_t fast_recoveries = 0;   // VAM-logging fast path taken
 
-  // Writeback scheduler: every home-flush path (third entry, shutdown,
+  // Writeback scheduler: every home-flush path (checkpoint, shutdown,
   // format, recovery replay, repairs) goes through elevator-ordered,
   // coalesced batches; these prove the batching actually happened.
   std::uint64_t home_write_batches = 0;     // non-empty scheduler flushes
@@ -103,11 +103,12 @@ struct FsdStats {
   std::uint64_t space_forces = 0;
   std::uint64_t max_parallel_ops = 0;
 
-  // Continuous checkpointing (section 4g). ckpt_batches counts checkpoint
-  // rounds that did work, ckpt_pages the home pages they wrote, and
-  // ckpt_advances the durable checkpoint-pointer moves. When the daemon
-  // keeps up, third_flush_fallbacks stays at zero: every third entry finds
-  // its pages already retired.
+  // Checkpointing (section 4g). ckpt_batches counts daemon and Checkpoint()
+  // rounds, ckpt_pages the home pages written by every checkpoint (third
+  // entry included), and ckpt_advances the durable checkpoint-pointer moves.
+  // third_flush_fallbacks counts third entries that had pages to write:
+  // when the daemon keeps up it stays at zero, because every third entry
+  // finds its pages already retired.
   std::uint64_t ckpt_batches = 0;
   std::uint64_t ckpt_pages = 0;
   std::uint64_t ckpt_advances = 0;
@@ -456,14 +457,31 @@ class Fsd : public fs::FileSystem {
   // Effective recovery-window bound in log sectors: the configured value,
   // or one log third when checkpoint.window_sectors == 0.
   std::uint32_t CheckpointWindowSectors() const;
-  // One checkpoint: writes home (elevator-ordered, in batch_pages chunks)
-  // every cached page whose latest logged image precedes `target`, saves
-  // the VAM base first under VAM logging, then durably advances the log's
-  // oldest-record pointer past the dropped records. Caller holds force_mu_;
-  // the gate stays OPEN — mutators interleave with the home writes, which
-  // is the whole point. capture_keys_ is empty here (it is only non-empty
-  // while a force holds force_mu_).
+  // One checkpoint: saves the VAM base under VAM logging, writes home (in
+  // batch_pages chunks) every cached page whose latest logged image
+  // precedes `target`, then durably advances the log's oldest-record
+  // pointer past the dropped records. Caller holds force_mu_; the gate
+  // stays OPEN — mutators interleave with the home writes, which is the
+  // whole point.
   Status CheckpointBatch(std::uint64_t target);
+  // The one way pages go home. Selects every cached page whose latest
+  // logged image belongs to a commit group starting below LSN `bound`,
+  // writes that image to its home sector(s) in elevator batches of at most
+  // `chunk` pages (each batch's primaries and leaders before its
+  // replicas), and retires the frames. A frame the force in progress
+  // captured stays dirty. Callers: third entry (one batch to the third
+  // boundary), CheckpointBatch (batch_pages chunks, then the pointer
+  // moves) and Shutdown (one batch of everything, no pointer move). Caller
+  // holds force_mu_. Returns the number of pages written.
+  static constexpr std::size_t kOneBatch =
+      std::numeric_limits<std::size_t>::max();
+  Result<std::size_t> WriteHome(std::uint64_t bound, std::size_t chunk);
+  // Under VAM logging, saves the allocation-map base stamped with the
+  // log's next LSN. It must land before the log pointer moves: the
+  // in-memory bitmaps already hold every delta in the records about to be
+  // dropped (deltas apply at op time), and the stamp makes the deltas in
+  // the surviving records re-apply idempotently at recovery.
+  Status SaveVamBase();
   // Wrapper tail: blocks on the commit queue when a deadline force was
   // deferred to the daemon (no-op for seq 0 / inline mode).
   Status AwaitCommit(std::uint64_t seq);
@@ -493,7 +511,6 @@ class Fsd : public fs::FileSystem {
   // stays closed throughout.
   enum class GateMode { kCloseAndReopen, kAlreadyClosed };
   Status ForceLogImpl(GateMode mode, std::uint64_t* covered_seq = nullptr);
-  Status FlushThird(int third);
   // Queues an allocation-map delta for the next log record (VAM logging).
   // Alloc-type deltas are logged before the tree pages they correspond to,
   // free-type deltas after, so a torn force can only leak sectors, never
@@ -645,9 +662,9 @@ class Fsd : public fs::FileSystem {
   std::vector<VamDelta> pending_free_deltas_;
   std::atomic<sim::Micros> last_force_{0};
   // Keys captured by the force currently in its append phase. Guarded by
-  // force_mu_ (only the force path reads or writes it): FlushThird must
-  // keep these frames dirty — their captured image is en route to the log,
-  // so eviction would orphan it.
+  // force_mu_ (only the force path reads or writes it): a third-entry
+  // WriteHome must keep these frames dirty — their captured image is en
+  // route to the log, so eviction would orphan it.
   std::unordered_set<std::uint32_t> capture_keys_;
   std::atomic<bool> mounted_{false};  // written quiesced; read lock-free
   // Degraded read-only mount (section 4h): set by MountDegraded, cleared by
@@ -706,7 +723,6 @@ class Fsd : public fs::FileSystem {
     obs::Counter* forces = nullptr;
     obs::Counter* empty_forces = nullptr;
     obs::Counter* pages_captured = nullptr;
-    obs::Counter* third_flush_pages = nullptr;
     obs::Counter* piggyback_leader_writes = nullptr;
     obs::Counter* piggyback_leader_verifies = nullptr;
     obs::Counter* nt_repairs = nullptr;

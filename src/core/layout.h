@@ -71,14 +71,15 @@ struct FsdConfig {
     // incrementally writes home pages for the oldest log region and
     // advances the persisted checkpoint pointer, keeping the live log (the
     // recovery window) bounded by `window_sectors` instead of letting it
-    // grow until a stop-the-world third flush. Requires commit.daemon (the
-    // checkpoint daemon exists to unstall the parallel commit path; the
-    // combination of a background checkpointer with inline forces has no
-    // supported use and is rejected by Validate()).
+    // grow until third entry writes a whole third home synchronously.
+    // Requires commit.daemon (the checkpoint daemon exists to unstall the
+    // parallel commit path; the combination of a background checkpointer
+    // with inline forces has no supported use and is rejected by
+    // Validate()).
     bool daemon = false;
     // Recovery-window bound in log sectors: the daemon starts checkpointing
     // when the live log exceeds this and drains it back to about half. 0
-    // means "one log third" — the classic FlushThird economy.
+    // means "one log third" — the exposure third entry alone allows.
     std::uint32_t window_sectors = 0;
     // Home pages written per IoScheduler batch inside a checkpoint round.
     // Small batches keep the daemon's disk occupancy polite: mutators only

@@ -140,7 +140,7 @@ Status FsdConfig::Validate() const {
     return MakeError(ErrorCode::kInvalidArgument,
                      "checkpoint.daemon requires commit.daemon (the "
                      "continuous checkpointer backstops the parallel "
-                     "commit path; inline forces use third flushes)");
+                     "commit path; inline forces rely on third entry)");
   }
   if (checkpoint.batch_pages == 0) {
     return MakeError(ErrorCode::kInvalidArgument,
@@ -279,7 +279,8 @@ Status FsdLog::Format(std::uint32_t boot_count) {
   return disk_->Write(AreaLba(0), zero);
 }
 
-Status FsdLog::PrepareSpace(std::uint32_t len, const ThirdFlushFn& flush) {
+Status FsdLog::PrepareSpace(std::uint32_t len,
+                            const ThirdEntryFn& enter_third) {
   CEDAR_CHECK(len < third_sectors());
 
   // Skip to the next third (or wrap) if the span would straddle it.
@@ -303,12 +304,18 @@ Status FsdLog::PrepareSpace(std::uint32_t len, const ThirdFlushFn& flush) {
 
   const int third = ThirdOf(pos_);
   if (third != current_third_) {
-    // Entering a new third: flush pages whose only durable copy is here,
-    // then durably advance the oldest-record pointer past it. Any index
-    // entries still in this third are from the previous lap (a continuous
-    // checkpoint may already have dropped some or all of them).
-    CEDAR_RETURN_IF_ERROR(flush(third));
-    while (!live_.empty() && ThirdOf(live_.front().offset) == third) {
+    // Entering a new third: any index entries still in it are from the
+    // previous lap (a continuous checkpoint may already have dropped some
+    // or all of them) and sit at the front. Checkpoint past them — the
+    // owner writes home every page logged below the bound — then durably
+    // advance the oldest-record pointer.
+    const auto beyond =
+        std::find_if(live_.begin(), live_.end(), [&](const LiveRecord& r) {
+          return ThirdOf(r.offset) != third;
+        });
+    const std::uint64_t bound = beyond == live_.end() ? next_lsn_ : beyond->lsn;
+    CEDAR_RETURN_IF_ERROR(enter_third(bound));
+    while (!live_.empty() && live_.front().lsn < bound) {
       live_.pop_front();
     }
     oldest_pointer_ = live_.empty() ? pos_ : live_.front().offset;
@@ -359,22 +366,6 @@ Status FsdLog::AppendPrepared(std::span<const PageImage> pages,
   return OkStatus();
 }
 
-Result<int> FsdLog::Append(std::span<const PageImage> pages,
-                           const ThirdFlushFn& flush, bool group_start,
-                           bool group_end) {
-  CEDAR_CHECK(!pages.empty() && pages.size() <= kMaxPagesPerRecord);
-  for (const PageImage& page : pages) {
-    CEDAR_CHECK(page.data.size() == 512);
-    CEDAR_CHECK(page.primary != kNoLba || page.kind == PageKind::kVamDelta);
-  }
-  const auto len = static_cast<std::uint32_t>(
-      RecordSectors(static_cast<std::uint32_t>(pages.size())));
-  CEDAR_RETURN_IF_ERROR(PrepareSpace(len, flush));
-  const int third = ThirdOf(pos_);
-  CEDAR_RETURN_IF_ERROR(AppendPrepared(pages, group_start, group_end));
-  return third;
-}
-
 std::uint32_t FsdLog::MaxGroupPages() const {
   std::uint32_t best = 0;
   for (std::uint32_t n = 1;; ++n) {
@@ -386,8 +377,8 @@ std::uint32_t FsdLog::MaxGroupPages() const {
   return best;
 }
 
-Result<int> FsdLog::AppendGroup(std::span<const PageImage> pages,
-                                const ThirdFlushFn& flush) {
+Result<std::uint64_t> FsdLog::AppendGroup(std::span<const PageImage> pages,
+                                          const ThirdEntryFn& enter_third) {
   CEDAR_CHECK(!pages.empty());
   CEDAR_CHECK(pages.size() <= MaxGroupPages());
   for (const PageImage& page : pages) {
@@ -399,8 +390,8 @@ Result<int> FsdLog::AppendGroup(std::span<const PageImage> pages,
   // group to third reclamation between its records.
   const std::uint32_t total =
       GroupSectors(static_cast<std::uint32_t>(pages.size()));
-  CEDAR_RETURN_IF_ERROR(PrepareSpace(total, flush));
-  const int third = ThirdOf(pos_);
+  CEDAR_RETURN_IF_ERROR(PrepareSpace(total, enter_third));
+  const std::uint64_t first_lsn = next_lsn_;
 
   std::size_t i = 0;
   while (i < pages.size()) {
@@ -412,7 +403,7 @@ Result<int> FsdLog::AppendGroup(std::span<const PageImage> pages,
         AppendPrepared(pages.subspan(i, n), start, end));
     i += n;
   }
-  return third;
+  return first_lsn;
 }
 
 Status FsdLog::ValidatePointer() { return ReadPointer().status(); }

@@ -21,10 +21,11 @@
 //
 // Records never straddle a third boundary (or the end of the area): a skip
 // marker sector is written and the record starts at the boundary. Entering
-// a new third first invokes the owner's flush callback so pages whose only
-// durable copy lives in that third are written to their home sectors, then
-// durably advances the oldest-third pointer. This simple scheme keeps an
-// average of 5/6 of the log in use.
+// a new third is a synchronous checkpoint to the third boundary: the
+// owner's callback writes home every page logged below the first live
+// record outside that third, then the log drops the records below that
+// bound and durably advances the oldest-record pointer. This simple scheme
+// keeps an average of 5/6 of the log in use.
 
 #ifndef CEDAR_CORE_LOG_H_
 #define CEDAR_CORE_LOG_H_
@@ -218,9 +219,11 @@ struct LogStats {
 // is the only part clients touch without that lock.
 class FsdLog {
  public:
-  // Flush callback: write home every cached page whose latest log copy
-  // lives in `third`, because that third is about to be overwritten.
-  using ThirdFlushFn = std::function<Status(int third)>;
+  // Third-entry callback: write home every cached page whose latest logged
+  // image has LSN < `bound`. `bound` is the first live record outside the
+  // third being entered (or next_lsn() if there is none), so every record
+  // below it is about to be overwritten.
+  using ThirdEntryFn = std::function<Status(std::uint64_t bound)>;
 
   static constexpr std::uint32_t kMaxPagesPerRecord = 52;
 
@@ -229,28 +232,18 @@ class FsdLog {
   // Initializes an empty log (pointer at offset 0).
   Status Format(std::uint32_t boot_count);
 
-  // Appends one record (1..kMaxPagesPerRecord pages) as a single disk
-  // write, handling skip markers, third entry (flush + pointer update), and
-  // wrap. Returns the third the record was placed in.
-  //
-  // group_start/group_end delimit a commit group: recovery replays a group
-  // only when its final record survived, so a force that spans several
-  // records stays atomic (a crash mid-group discards the whole group). A
-  // standalone record passes true for both.
-  Result<int> Append(std::span<const PageImage> pages,
-                     const ThirdFlushFn& flush, bool group_start = true,
-                     bool group_end = true);
-
   // Appends one whole commit group: the images are chunked into records of
-  // at most kMaxPagesPerRecord, tagged with group start/end flags, and —
-  // the load-bearing part — space for the ENTIRE group is reserved up
-  // front, so a group never straddles a third boundary. That guarantees
+  // at most kMaxPagesPerRecord (each one disk write), tagged with group
+  // start/end flags, and — the load-bearing part — space for the ENTIRE
+  // group is reserved up front, handling skip markers, third entry and
+  // wrap, so a group never straddles a third boundary. That guarantees
   // recovery sees all of the group's records or none (no orphaned tails
   // whose start third was reclaimed mid-group), which is what makes a
   // multi-record force atomic. pages.size() must be <= MaxGroupPages().
-  // Returns the third every record of the group was placed in.
-  Result<int> AppendGroup(std::span<const PageImage> pages,
-                          const ThirdFlushFn& flush);
+  // Returns the LSN of the group's first record (not of any skip marker
+  // written before it).
+  Result<std::uint64_t> AppendGroup(std::span<const PageImage> pages,
+                                    const ThirdEntryFn& enter_third);
 
   // Largest page count AppendGroup accepts: the biggest group whose total
   // sectors still fit strictly inside one third.
@@ -323,8 +316,8 @@ class FsdLog {
 
   // One element of the live-record index: every record (and skip marker)
   // between the persisted oldest pointer and pos_, in LSN order. The front
-  // is what the on-disk pointer names; checkpoints pop from the front,
-  // third reclamation pops whole thirds, appends push at the back.
+  // is what the on-disk pointer names; checkpoints (third entry included)
+  // pop from the front, appends push at the back.
   struct LiveRecord {
     std::uint64_t lsn = 0;
     std::uint32_t offset = 0;      // within the record area
@@ -343,9 +336,9 @@ class FsdLog {
   Status WritePointer();
   Result<std::uint32_t> ReadPointer();
   // Skip-marker + third-entry handling for an append of `len` sectors:
-  // ensures [pos_, pos_+len) lies inside one third, invoking `flush` and
-  // advancing the oldest pointer when a new third is entered.
-  Status PrepareSpace(std::uint32_t len, const ThirdFlushFn& flush);
+  // ensures [pos_, pos_+len) lies inside one third, invoking `enter_third`
+  // and advancing the oldest pointer when a new third is entered.
+  Status PrepareSpace(std::uint32_t len, const ThirdEntryFn& enter_third);
   // Appends one already-prepared record at pos_ (no boundary handling).
   Status AppendPrepared(std::span<const PageImage> pages, bool group_start,
                         bool group_end);

@@ -54,7 +54,7 @@ std::vector<Step> StandardWorkload() {
   create("epsilon", 2200, 29);
   add(K::kForce, "");
   // Widen the name table to several B-tree pages and keep forcing so the
-  // log crosses a third mid-workload: FlushThird then issues a real
+  // log crosses a third mid-workload: third entry then issues a real
   // IoScheduler home-flush batch, whose scattered dirty pages give the
   // reorder enumerator multi-write batches to cut (an orderly Shutdown
   // alone tends to produce one coalesced write per copy).
@@ -81,8 +81,8 @@ std::vector<Step> StandardWorkload() {
   // later pointer-advance write are crash points the enumerator must cut
   // inside (the pointer must never surface without the home writes).
   add(K::kCheckpoint, "");
-  // Push the log past its first third: the FlushThird fired here issues the
-  // mid-workload IoScheduler batch the reorder enumerator needs.
+  // Push the log past its first third: the third entry fired here issues
+  // the mid-workload IoScheduler batch the reorder enumerator needs.
   overwrite("mid/f7", 200, 600, 65);
   create("aa/head", 900, 67);
   add(K::kForce, "");
@@ -96,7 +96,7 @@ std::vector<Step> StandardWorkload() {
   create("zz/tail", 640, 75);
   add(K::kForce, "");
   // Churn name-table metadata until the log wraps back into its first
-  // third: FlushThird only has victim pages once the third being entered
+  // third: third entry only has victim pages once the third being entered
   // holds logged images, so the wrap is what produces the mid-workload
   // IoScheduler home-flush batches the reorder enumerator cuts. Pure data
   // overwrites would not do — Force() with no dirtied metadata logs
@@ -128,7 +128,7 @@ std::vector<Step> StandardWorkload() {
       // Cold pages logged right AFTER the last checkpoint, in name regions
       // the rest of the churn never touches: their logged images are never
       // refreshed or retired, so when the log wraps back into their third
-      // a lap later, FlushThird finds real victims — keeping the fallback
+      // a lap later, third entry finds real victims — keeping the fallback
       // path (and its mid-workload home-flush batches) covered alongside
       // the checkpoint path.
       create("qa/cold0", 520, 121);

@@ -6,7 +6,7 @@
 // the timing model), and which file-system operation caused it. Attribution
 // uses a scoped op-context stack: a public FS entry point pushes a class
 // name like "fsd.create" (via ScopedOp), nested internal phases push their
-// own ("fsd.log_force", "fsd.flush_third"), and each disk request is tagged
+// own ("fsd.log_force", "fsd.ckpt"), and each disk request is tagged
 // with the innermost context at issue time.
 //
 // The tracer keeps two things:
@@ -169,10 +169,9 @@ class DiskTracer {
   std::vector<std::pair<std::uint32_t, OpClassAggregate>> SpindleAggregates()
       const;
 
-  // Serialization. The binary format is versioned ("CEDTRC04": 64-bit LBA +
-  // spindle column; "CEDTRC03"/"CEDTRC02" dumps still load, with spindle 0
-  // and — for v2 — root = innermost) and holds the op-name table plus the
-  // ring contents; LoadBinary reconstructs a tracer whose
+  // Serialization. The binary format is versioned ("CEDTRC04": 64-bit LBA
+  // and spindle columns; any other magic is refused) and holds the op-name
+  // table plus the ring contents; LoadBinary reconstructs a tracer whose
   // Events()/Aggregates() reflect the dump.
   Status DumpBinary(const std::string& path) const;
   static Result<DiskTracer> LoadBinary(const std::string& path);

@@ -260,8 +260,7 @@ class SimDisk : public BlockDevice {
   // ---- Image persistence: the full device state (data, labels, damage
   // map, and crash/fault-injection state) as a host file, so volumes —
   // including crashed ones dumped by the harness — survive across tool
-  // invocations. Format "CEDIMG03" (adds persistent/lying-write/corruption
-  // fault state); v01 (no crash state) and v02 images still load.
+  // invocations. Format "CEDIMG03"; any other magic is refused.
   Status SaveImage(const std::string& path) const override;
   // Loads an image saved with SaveImage; the geometry must match.
   Status LoadImage(const std::string& path);

@@ -24,10 +24,18 @@ TEST(PageCacheTest, InsertReplacesAndResetsFlags) {
   PageCache cache(8);
   Frame& first = cache.Insert(1, Data(1));
   first.dirty = true;
-  first.logged_third = 2;
+  first.dirty_since_log = true;
+  first.logged_lsn = 7;
+  first.logged_image = Data(1);
+  first.is_leader = true;
   Frame& second = cache.Insert(1, Data(2));
   EXPECT_FALSE(second.dirty);
-  EXPECT_EQ(second.logged_third, -1);
+  EXPECT_FALSE(second.dirty_since_log);
+  // A replaced frame keeps no log tag: a stale one would send an empty
+  // logged_image home at the next checkpoint.
+  EXPECT_EQ(second.logged_lsn, 0u);
+  EXPECT_TRUE(second.logged_image.empty());
+  EXPECT_FALSE(second.is_leader);
   EXPECT_EQ(second.data, Data(2));
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -157,10 +165,10 @@ TEST(PageCacheTest, ForEachVisitsAll) {
   int visited = 0;
   cache.ForEach([&](std::uint32_t, Frame& frame) {
     ++visited;
-    frame.logged_third = 1;
+    frame.logged_lsn = 1;
   });
   EXPECT_EQ(visited, 5);
-  EXPECT_EQ(cache.Find(3)->logged_third, 1);
+  EXPECT_EQ(cache.Find(3)->logged_lsn, 1u);
 }
 
 }  // namespace

@@ -285,8 +285,8 @@ TEST(CkptFallbackTest, ThirdFlushFallbackCountsWithoutTheDaemon) {
   ASSERT_TRUE(fsd.Force().ok());
   // Enough forced metadata churn to wrap the 396-sector record area: with
   // no checkpoint daemon, re-entering the third that still holds the cold
-  // pages' images takes the synchronous FlushThird path, and the fallback
-  // counter says so.
+  // pages' images is a synchronous checkpoint that writes them home, and
+  // the fallback counter says so.
   for (int i = 0; i < 60; ++i) {
     ASSERT_TRUE(fsd.CreateFile("t/f" + std::to_string(i % 7),
                                Bytes(400, static_cast<std::uint8_t>(i)))
@@ -294,7 +294,42 @@ TEST(CkptFallbackTest, ThirdFlushFallbackCountsWithoutTheDaemon) {
     ASSERT_TRUE(fsd.Force().ok());
   }
   EXPECT_GT(fsd.stats().third_flush_fallbacks, 0u);
+  EXPECT_GT(fsd.stats().ckpt_pages, 0u);
   EXPECT_EQ(fsd.stats().ckpt_batches, 0u);
+  ASSERT_TRUE(fsd.Shutdown().ok());
+}
+
+// Frames are tagged with the LSN of their own commit group. When a group
+// skips to the next third, the skip marker takes the LSN just before it; a
+// frame tagged with the marker's LSN would sit below a checkpoint whose
+// target is the group itself, and go home one round early.
+TEST(CkptFallbackTest, CheckpointToAGroupAfterASkipMarkerKeepsItLogged) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  FsdConfig config;
+  config.log_sectors = 400;
+  config.nt_pages = 256;
+  config.cache_frames = 1024;
+  Fsd fsd(&disk, config);
+  ASSERT_TRUE(fsd.Format().ok());
+  ASSERT_TRUE(fsd.CreateFile("hot", Bytes(300, 1)).ok());
+  // Re-dirty the same pages every round and checkpoint everything but the
+  // newest group, so the only logged pages are always that group's.
+  for (int round = 0;; ++round) {
+    ASSERT_LT(round, 100) << "the log never needed a skip marker";
+    const std::uint64_t markers = fsd.log_stats().markers;
+    ASSERT_TRUE(fsd.Touch("hot").ok());
+    ASSERT_TRUE(fsd.Force().ok());
+    if (fsd.log_stats().markers > markers) {
+      break;  // this force's group follows a skip marker
+    }
+    ASSERT_TRUE(fsd.Checkpoint().ok());
+  }
+  // The maximal checkpoint target is now that group's first LSN: nothing
+  // lies below it, so no page goes home.
+  const std::uint64_t pages_before = fsd.stats().ckpt_pages;
+  ASSERT_TRUE(fsd.Checkpoint().ok());
+  EXPECT_EQ(fsd.stats().ckpt_pages, pages_before);
   ASSERT_TRUE(fsd.Shutdown().ok());
 }
 

@@ -70,8 +70,8 @@ TEST(CrashHarnessTest, BoundedSweepPassesVamLoggingMode) {
 
 // The standard workload must keep giving the enumerator real material:
 // multi-write IoScheduler batches (otherwise the reorder variants are
-// vacuous) and a mid-workload FlushThird (log wrap). A workload or
-// scheduler change that silently loses that coverage fails here.
+// vacuous) and a mid-workload third-entry checkpoint (log wrap). A workload
+// or scheduler change that silently loses that coverage fails here.
 TEST(CrashHarnessTest, StandardWorkloadYieldsReorderCoverage) {
   HarnessOptions options;
   options.max_cases = 1;  // recording alone decides this test
@@ -91,14 +91,25 @@ TEST(CrashHarnessTest, StandardWorkloadYieldsReorderCoverage) {
   EXPECT_TRUE(multi_write_batch)
       << "no IoScheduler batch with >= 2 writes in the recorded schedule";
 
+  // Third entry and Checkpoint() share the "fsd.ckpt" op class; a
+  // checkpoint write inside any step but a kCheckpoint one is a third entry.
   bool mid_workload_flush = false;
   bool mid_workload_ckpt = false;
-  for (const ScheduleEntry& e : run.writes) {
-    mid_workload_flush = mid_workload_flush || e.op == "fsd.flush_third";
-    mid_workload_ckpt = mid_workload_ckpt || e.op == "fsd.ckpt";
+  for (std::size_t s = 0; s < run.steps.size(); ++s) {
+    bool ckpt_write = false;
+    for (std::uint64_t w = run.bounds[s].writes_before;
+         w < run.bounds[s].writes_after; ++w) {
+      ckpt_write = ckpt_write || run.writes[w].op == "fsd.ckpt";
+    }
+    if (run.steps[s].kind == Step::Kind::kCheckpoint) {
+      mid_workload_ckpt = mid_workload_ckpt || ckpt_write;
+    } else {
+      mid_workload_flush = mid_workload_flush || ckpt_write;
+    }
   }
   EXPECT_TRUE(mid_workload_flush)
-      << "the workload no longer wraps the log (no FlushThird recorded)";
+      << "the workload no longer wraps the log (no third-entry checkpoint "
+         "recorded)";
   // The kCheckpoint steps must produce real checkpoint writes (home batches
   // and a pointer advance) for the enumerator to cut inside — losing them
   // silently would un-test the continuous-checkpoint crash surface.
@@ -343,8 +354,8 @@ TEST(ForceGroupAtomicityTest, CrashBetweenGroupRecordsReplaysNothing) {
   }
   ASSERT_LE(group.size(), log.MaxGroupPages());
   disk.ArmCrash(CleanCut(1));
-  auto third = log.AppendGroup(group, [](int) { return OkStatus(); });
-  ASSERT_FALSE(third.ok());
+  auto lsn = log.AppendGroup(group, [](std::uint64_t) { return OkStatus(); });
+  ASSERT_FALSE(lsn.ok());
   ASSERT_TRUE(disk.crashed());
 
   disk.Reopen();
@@ -372,7 +383,8 @@ TEST(ForceGroupAtomicityTest, IntactGroupReplaysEveryPage) {
   for (std::uint32_t p = 0; p < 60; ++p) {
     group.push_back(GroupPage(1000 + 2 * p, static_cast<std::uint8_t>(p)));
   }
-  ASSERT_TRUE(log.AppendGroup(group, [](int) { return OkStatus(); }).ok());
+  ASSERT_TRUE(
+      log.AppendGroup(group, [](std::uint64_t) { return OkStatus(); }).ok());
 
   core::FsdLog recovered(&disk, /*base=*/100, /*size_sectors=*/400);
   std::uint64_t pages_delivered = 0;

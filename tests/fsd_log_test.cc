@@ -30,14 +30,14 @@ class FsdLogTest : public ::testing::Test {
     CEDAR_CHECK_OK(log_.Format(1));
   }
 
-  // Appends and requires success; returns the third used.
-  int Append(std::vector<PageImage> pages) {
-    auto third = log_.Append(pages, [&](int t) {
-      flushed_thirds_.push_back(t);
+  // Appends one group and requires success; returns its first LSN.
+  std::uint64_t Append(std::vector<PageImage> pages) {
+    auto lsn = log_.AppendGroup(pages, [&](std::uint64_t bound) {
+      entry_bounds_.push_back(bound);
       return OkStatus();
     });
-    CEDAR_CHECK_OK(third.status());
-    return *third;
+    CEDAR_CHECK_OK(lsn.status());
+    return *lsn;
   }
 
   std::vector<std::vector<PageImage>> Recover(std::uint32_t boot) {
@@ -54,7 +54,7 @@ class FsdLogTest : public ::testing::Test {
   sim::VirtualClock clock_;
   sim::SimDisk disk_;
   FsdLog log_;
-  std::vector<int> flushed_thirds_;
+  std::vector<std::uint64_t> entry_bounds_;  // one per third entry
 };
 
 TEST_F(FsdLogTest, RecordSectorArithmetic) {
@@ -104,10 +104,17 @@ TEST_F(FsdLogTest, ThirdEntryFlushesAndAdvancesPointer) {
   for (int i = 0; i < 10; ++i) {
     pages.push_back(Image(5000 + i, kNoLba, 1));
   }
-  for (int rec = 0; rec < 6; ++rec) {
-    Append(pages);
+  for (std::uint64_t rec = 1; rec <= 5; ++rec) {
+    EXPECT_EQ(Append(pages), rec);
   }
-  EXPECT_EQ(flushed_thirds_, (std::vector<int>{1}));
+  // The 6th group does not fit in third 0: a skip marker takes LSN 6 and
+  // the group's record LSN 7, which is the LSN its pages must be tagged
+  // with.
+  EXPECT_EQ(Append(pages), 7u);
+  EXPECT_EQ(log_.stats().markers, 1u);
+  // Third 1 holds nothing from an earlier lap: the bound is the oldest
+  // live record, so nothing lies below it.
+  EXPECT_EQ(entry_bounds_, (std::vector<std::uint64_t>{1}));
   EXPECT_EQ(log_.current_third(), 1);
   // All six records still replay (the pointer kept the oldest third).
   EXPECT_EQ(Recover(2).size(), 6u);
@@ -123,8 +130,10 @@ TEST_F(FsdLogTest, WrapAroundDiscardsOldestThird) {
   for (int rec = 0; rec < 17; ++rec) {
     Append(pages);
   }
-  // Thirds entered: 1, 2, then 0 again.
-  EXPECT_EQ(flushed_thirds_, (std::vector<int>{1, 2, 0}));
+  // Thirds entered: 1, 2, then 0 again. Third 0 held LSNs 1-5 plus the
+  // skip marker 6, so its re-entry checkpoints everything below LSN 7 (the
+  // first record of third 1).
+  EXPECT_EQ(entry_bounds_, (std::vector<std::uint64_t>{1, 1, 7}));
   auto records = Recover(2);
   // Third 0's old records were discarded; thirds 1 and 2 plus the two new
   // records in third 0 remain: 5 + 5 + 2 = 12.
@@ -138,7 +147,9 @@ TEST_F(FsdLogTest, TornRecordIsDroppedAtRecovery) {
                                 .sectors_completed = 3,
                                 .sectors_damaged = 1});
   std::vector<PageImage> two = {Image(5001, kNoLba, 2)};
-  EXPECT_EQ(log_.Append(two, [](int) { return OkStatus(); }).status().code(),
+  EXPECT_EQ(log_.AppendGroup(two, [](std::uint64_t) { return OkStatus(); })
+                .status()
+                .code(),
             ErrorCode::kDeviceCrashed);
   disk_.Reopen();
   auto records = Recover(2);
@@ -178,7 +189,8 @@ TEST_F(FsdLogTest, TwoAdjacentDamagedSectorsNeverLoseARecord) {
     ASSERT_TRUE(log.Format(1).ok());
     std::vector<PageImage> pages = {Image(5000, kNoLba, 7),
                                     Image(5001, kNoLba, 9)};
-    ASSERT_TRUE(log.Append(pages, [](int) { return OkStatus(); }).ok());
+    ASSERT_TRUE(
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
     disk.DamageSectors(kLogBase + 4 + off, 2);
     std::vector<std::vector<PageImage>> records;
     ASSERT_TRUE(log.Recover(
@@ -275,7 +287,8 @@ TEST_P(FsdLogDamageFuzzTest, DamageNeverYieldsCorruptRecords) {
       pages.push_back(
           Image(static_cast<sim::Lba>(100000 + rec), kNoLba, fill));
     }
-    ASSERT_TRUE(log.Append(pages, [](int) { return OkStatus(); }).ok());
+    ASSERT_TRUE(
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
   }
   for (int hit = 0; hit < 8; ++hit) {
     disk.DamageSectors(
@@ -326,9 +339,10 @@ TEST_P(FsdLogChurnTest, ChurnAndRecover) {
       pages.push_back(Image(static_cast<sim::Lba>(5000 + rng.Below(100)),
                             kNoLba, static_cast<std::uint8_t>(rec)));
     }
-    const std::uint64_t lsn = log.next_lsn();
-    ASSERT_TRUE(log.Append(pages, [](int) { return OkStatus(); }).ok());
-    appended.emplace_back(lsn, n);
+    auto lsn =
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); });
+    ASSERT_TRUE(lsn.ok());
+    appended.emplace_back(*lsn, n);
   }
 
   std::vector<std::size_t> replayed_sizes;

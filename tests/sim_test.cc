@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <vector>
 
 #include "src/sim/clock.h"
@@ -328,6 +329,12 @@ TEST_F(SimDiskTest, ImageGeometryMismatchRejected) {
   VirtualClock clock2;
   SimDisk other(DiskGeometry{}, DiskTimingParams{}, &clock2);  // 300 MB
   EXPECT_EQ(other.LoadImage(path).code(), ErrorCode::kInvalidArgument);
+  // Only the current format loads: a retired magic is not an image.
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.write("CEDIMG02", 8);
+  }
+  EXPECT_EQ(disk_.LoadImage(path).code(), ErrorCode::kCorruptMetadata);
   std::remove(path.c_str());
 }
 

@@ -7,7 +7,7 @@
 //                                    and summarize — the smoke test
 //
 // The binary format is produced by obs::DiskTracer::DumpBinary (magic
-// "CEDTRC03"; "CEDTRC02" traces still load); see src/obs/trace.h.
+// "CEDTRC04"); see src/obs/trace.h.
 
 #include <cstdio>
 #include <cstring>
@@ -51,7 +51,7 @@ int Dump(const std::string& path, bool jsonl) {
   if (jsonl) {
     for (const TraceEvent& event : tracer->Events()) {
       std::printf("{\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64
-                  ",\"op\":\"%.*s\",\"lba\":%u,\"sectors\":%u}\n",
+                  ",\"op\":\"%.*s\",\"lba\":%" PRIu64 ",\"sectors\":%u}\n",
                   event.seq, event.start_us,
                   static_cast<int>(tracer->OpName(event.op_id).size()),
                   tracer->OpName(event.op_id).data(), event.lba,
