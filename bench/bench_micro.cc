@@ -1,7 +1,7 @@
 // Wall-clock microbenchmarks (google-benchmark) for the library's hot
-// paths: CRC, serialization, B-tree operations, the simulated disk, the
-// redo log, and FSD operation throughput. These measure this codebase, not
-// the paper's hardware.
+// paths: CRC, the bitmap run search, serialization, B-tree operations, the
+// simulated disk, the redo log, and FSD operation throughput. These measure
+// this codebase, not the paper's hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,7 @@
 #include "src/core/fsd.h"
 #include "src/core/log.h"
 #include "src/sim/disk.h"
+#include "src/util/bitmap.h"
 #include "src/util/crc32.h"
 #include "src/util/random.h"
 
@@ -28,7 +29,21 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(512)->Arg(4096)->Arg(65536);
+// 508 bytes is the span a name-table sector trailer checksums.
+BENCHMARK(BM_Crc32)->Arg(508)->Arg(512)->Arg(4096)->Arg(65536);
+
+// A first-fit search on a 600k-bit map whose low 90% is used: the shape of
+// RunAllocator::AllocateFrom on a volume that has grown from empty.
+void BM_BitmapFindRunForward(benchmark::State& state) {
+  const auto size = static_cast<std::uint32_t>(state.range(0));
+  Bitmap map(size, true);
+  map.SetRange(0, size / 10 * 9, false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(map.FindRunForward(0, 8));
+  }
+  state.SetItemsProcessed(state.iterations() * (size / 64));
+}
+BENCHMARK(BM_BitmapFindRunForward)->Arg(600000);
 
 void BM_BTreeInsert(benchmark::State& state) {
   btree::MemPageStore store(512);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/util/crc32.h"
@@ -85,17 +86,54 @@ TEST(Crc32Test, SensitiveToSingleBitFlip) {
   }
 }
 
-TEST(Crc32Test, ChainingMatchesWhole) {
-  std::vector<std::uint8_t> buf(100);
-  for (int i = 0; i < 100; ++i) {
-    buf[i] = static_cast<std::uint8_t>(i * 7);
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven kernel must match exactly.
+std::uint32_t BitwiseCrc32(std::span<const std::uint8_t> data,
+                           std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
   }
-  const std::uint32_t whole = Crc32(buf);
-  const std::uint32_t part1 =
-      Crc32(std::span<const std::uint8_t>(buf).subspan(0, 40));
-  const std::uint32_t chained =
-      Crc32(std::span<const std::uint8_t>(buf).subspan(40), part1);
-  EXPECT_EQ(chained, whole);
+  return ~crc;
+}
+
+std::vector<std::uint8_t> RandomBytes(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& byte : bytes) {
+    byte = static_cast<std::uint8_t>(rng.Next());
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<std::uint8_t> buf = RandomBytes(1987, 1100 + 8);
+  const std::span<const std::uint8_t> all(buf);
+  Rng rng(1988);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const auto seed = static_cast<std::uint32_t>(rng.Next());
+      const auto part = all.subspan(offset, len);
+      ASSERT_EQ(Crc32(part, seed), BitwiseCrc32(part, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingMatchesWhole) {
+  const std::vector<std::uint8_t> buf = RandomBytes(508, 1100);
+  const std::span<const std::uint8_t> all(buf);
+  for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+    const std::uint32_t whole = Crc32(all, seed);
+    for (std::size_t split = 0; split <= all.size(); ++split) {
+      ASSERT_EQ(Crc32(all.subspan(split), Crc32(all.first(split), seed)),
+                whole)
+          << "split " << split << " seed " << seed;
+    }
+  }
 }
 
 TEST(SerialTest, RoundTripAllTypes) {
