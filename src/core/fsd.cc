@@ -347,7 +347,6 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
   h_.setkeep = metrics_.GetHistogram("op.fsd.setkeep.us");
   h_.force = metrics_.GetHistogram("op.fsd.force.us");
   disk_->AttachMetrics(&metrics_);
-  ckpt_daemon_ = std::make_unique<CkptDaemon>([this] { CkptRound(); });
 }
 
 FsdStats Fsd::stats() const {
@@ -388,7 +387,7 @@ Status Fsd::ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
   Status status = disk_->Read(start, out, bad);
   std::uint32_t attempts = 0;
   while (status.code() == ErrorCode::kReadTransient &&
-         attempts < config_.durability.read_retry_limit) {
+         attempts < kReadRetryLimit) {
     ++attempts;
     c_.read_retries->Increment();
     status = disk_->Read(start, out, bad);
@@ -405,8 +404,8 @@ Status Fsd::ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
     }
     return MakeError(ErrorCode::kReadTransient,
                      "read retries exhausted (" +
-                         std::to_string(config_.durability.read_retry_limit) +
-                         "), " + span_text + ": " + status.message());
+                         std::to_string(kReadRetryLimit) + "), " + span_text +
+                         ": " + status.message());
   }
   return status;
 }
@@ -431,10 +430,7 @@ Status Fsd::RepairLeader(const FsdEntry& entry, std::uint32_t version) {
   return wrote;
 }
 
-Fsd::~Fsd() {
-  StopCkptDaemon();
-  StopDaemon();
-}
+Fsd::~Fsd() { StopDaemon(); }
 
 const LogStats& Fsd::log_stats() const { return log_->stats(); }
 
@@ -599,7 +595,6 @@ Status Fsd::ReadVolumeRoot(bool* clean) {
 
 Status Fsd::Format() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopCkptDaemon();
   StopDaemon();
   Status status;
   {
@@ -608,7 +603,6 @@ Status Fsd::Format() {
   }
   if (status.ok()) {
     StartDaemon();
-    StartCkptDaemon();
   }
   return status;
 }
@@ -695,7 +689,6 @@ Status Fsd::FormatLocked() {
 
 Status Fsd::Mount() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopCkptDaemon();
   StopDaemon();
   Status status;
   {
@@ -704,7 +697,6 @@ Status Fsd::Mount() {
   }
   if (status.ok()) {
     StartDaemon();
-    StartCkptDaemon();
   }
   return status;
 }
@@ -835,9 +827,8 @@ Status Fsd::MountLocked() {
 
 Status Fsd::MountDegraded() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopCkptDaemon();
   StopDaemon();
-  // No daemons are started: a degraded mount is read-only and quiescent.
+  // No daemon is started: a degraded mount is read-only and quiescent.
   ScopedQuiesce quiesce(this);
   return MountDegradedLocked();
 }
@@ -1569,9 +1560,9 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
                            WriteHome(bound, kOneBatch));
     c_.ckpt_pages->Add(pages);
     if (pages > 0) {
-      // With the checkpoint daemon keeping up, every page logged in this
+      // With the checkpoint step keeping up, every page logged in this
       // third went home long before the log wrapped back into it — this
-      // counter measures what the daemon did NOT get to in time.
+      // counter measures what the step did NOT get to in time.
       c_.third_flush_fallbacks->Increment();
     }
     return OkStatus();
@@ -1657,13 +1648,6 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
     vam_.FoldShadow(shadow);
   }
   c_.forces->Increment();
-  // Wake the checkpoint daemon when this append pushed the live span past
-  // the recovery window (force_mu_ is held; kForce < kCkpt so the notify
-  // nests cleanly). The daemon then takes force_mu_ itself for each batch.
-  if (ckpt_daemon_->running() &&
-      log_->LiveSectors() > CheckpointWindowSectors()) {
-    ckpt_daemon_->Notify();
-  }
   return OkStatus();
 }
 
@@ -1778,20 +1762,25 @@ void Fsd::DaemonLoop() {
   while (queue.AwaitWork()) {
     const std::uint64_t seq = queue.latest_update();
     queue.BeginForce(seq);
-    Status status;
-    std::uint64_t covered = seq;
     if (!mounted_) {
-      status = MakeError(ErrorCode::kFailedPrecondition, "not mounted");
-    } else {
-      // The capture phase closes the op gate and drains in-flight ops, so
-      // every update recorded before the capture — in particular everything
-      // numbered <= the sequence read above — is in the captured dirty set.
-      // covered re-reads the sequence at the drained point, so the publish
-      // credits piggybacked updates that slipped in before the gate closed.
-      util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-      status = ForceLogImpl(GateMode::kCloseAndReopen, &covered);
+      queue.Publish(seq,
+                    MakeError(ErrorCode::kFailedPrecondition, "not mounted"));
+      continue;
     }
+    // The capture phase closes the op gate and drains in-flight ops, so
+    // every update recorded before the capture — in particular everything
+    // numbered <= the sequence read above — is in the captured dirty set.
+    // covered re-reads the sequence at the drained point, so the publish
+    // credits piggybacked updates that slipped in before the gate closed.
+    util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
+    std::uint64_t covered = seq;
+    const Status status = ForceLogImpl(GateMode::kCloseAndReopen, &covered);
+    // Durable waiters go first; the checkpoint step that follows runs at a
+    // point fixed by log state (right after this force), not by a scheduler.
     queue.Publish(std::max(seq, covered), status);
+    if (status.ok() && config_.checkpoint.daemon) {
+      CheckpointStep();
+    }
   }
 }
 
@@ -1802,15 +1791,6 @@ Status Fsd::AwaitCommit(std::uint64_t seq) {
   return log_->commit_queue().AwaitDurable(seq);
 }
 
-void Fsd::StartCkptDaemon() {
-  if (!config_.checkpoint.daemon) {
-    return;
-  }
-  ckpt_daemon_->Start();
-}
-
-void Fsd::StopCkptDaemon() { ckpt_daemon_->Stop(); }
-
 std::uint32_t Fsd::CheckpointWindowSectors() const {
   const std::uint32_t window = config_.checkpoint.window_sectors;
   if (window == 0) {
@@ -1819,11 +1799,7 @@ std::uint32_t Fsd::CheckpointWindowSectors() const {
   return std::min(window, log_->record_area_sectors());
 }
 
-void Fsd::CkptRound() {
-  util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-  if (!mounted_ || degraded_.load(std::memory_order_relaxed)) {
-    return;
-  }
+void Fsd::CheckpointStep() {
   const std::uint32_t window = CheckpointWindowSectors();
   // Drain to half the window, not to the edge, so hot pages keep absorbing
   // re-dirties between rounds instead of going home after every force.
@@ -1837,7 +1813,7 @@ void Fsd::CkptRound() {
       break;
     }
     if (log_->LiveSectors() >= live) {
-      break;  // no progress (one giant straddling group); retry next notify
+      break;  // no progress (one giant straddling group); retry next force
     }
   }
 }
@@ -1851,8 +1827,7 @@ Status Fsd::CheckpointBatch(std::uint64_t target) {
   CEDAR_RETURN_IF_ERROR(SaveVamBase());
   CEDAR_ASSIGN_OR_RETURN(
       const std::size_t pages,
-      WriteHome(target, std::max<std::uint32_t>(
-                            1, config_.checkpoint.batch_pages)));
+      WriteHome(target, kCheckpointBatchPages));
   c_.ckpt_pages->Add(pages);
   // Only after every home write above is on disk does the oldest-record
   // pointer advance (a separate, later disk write) — a crash at any point
@@ -1909,7 +1884,6 @@ Status Fsd::RunQuiesced(const std::function<Status()>& fn) {
 }
 
 Status Fsd::Shutdown() {
-  StopCkptDaemon();
   StopDaemon();
   ScopedQuiesce quiesce(this);
   return ShutdownLocked();

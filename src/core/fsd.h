@@ -48,7 +48,6 @@
 #include "src/btree/page_store.h"
 #include "src/cache/page_cache.h"
 #include "src/core/allocator.h"
-#include "src/core/ckpt.h"
 #include "src/core/layout.h"
 #include "src/core/log.h"
 #include "src/core/name_table.h"
@@ -103,12 +102,12 @@ struct FsdStats {
   std::uint64_t space_forces = 0;
   std::uint64_t max_parallel_ops = 0;
 
-  // Checkpointing (section 4g). ckpt_batches counts daemon and Checkpoint()
-  // rounds, ckpt_pages the home pages written by every checkpoint (third
-  // entry included), and ckpt_advances the durable checkpoint-pointer moves.
-  // third_flush_fallbacks counts third entries that had pages to write:
-  // when the daemon keeps up it stays at zero, because every third entry
-  // finds its pages already retired.
+  // Checkpointing (section 4g). ckpt_batches counts checkpoint-step and
+  // Checkpoint() batches, ckpt_pages the home pages written by every
+  // checkpoint (third entry included), and ckpt_advances the durable
+  // checkpoint-pointer moves. third_flush_fallbacks counts third entries
+  // that had pages to write: when the checkpoint step keeps up it stays at
+  // zero, because every third entry finds its pages already retired.
   std::uint64_t ckpt_batches = 0;
   std::uint64_t ckpt_pages = 0;
   std::uint64_t ckpt_advances = 0;
@@ -257,6 +256,10 @@ class Fsd : public fs::FileSystem {
   // this after advancing virtual time (every public op also checks).
   Status Tick();
 
+  // A soft (kReadTransient) sector read is reissued up to this many times
+  // before the error surfaces; each retry bumps fsd.read_retries.
+  static constexpr std::uint32_t kReadRetryLimit = 3;
+
   // Properties of the highest version (no I/O when the tree is cached).
   Result<fs::FileInfo> Stat(std::string_view name);
 
@@ -301,8 +304,8 @@ class Fsd : public fs::FileSystem {
   // Shutdown/Fsck/Scrub get. Re-entrant per the ScopedQuiesce contract:
   // calling RunQuiesced from inside a quiesced section on the same thread
   // nests (the inner call runs under the existing quiesce; the gate reopens
-  // only when the outermost scope exits). The commit and checkpoint daemons
-  // are blocked, not stopped, for the duration.
+  // only when the outermost scope exits). The commit daemon (and the
+  // checkpoint step it runs) is blocked, not stopped, for the duration.
   Status RunQuiesced(const std::function<Status()>& fn);
 
   // Name-shard geometry, exposed so benches and tests can construct
@@ -439,40 +442,41 @@ class Fsd : public fs::FileSystem {
   Result<ScrubReport> ScrubLocked();
 
   // Commit daemon plumbing. StartDaemon spawns the flusher thread when
-  // config_.commit_daemon is set; StopDaemon stops the queue and joins —
+  // config_.commit.daemon is set; StopDaemon stops the queue and joins —
   // always called while NOT holding force_mu_ (the daemon takes it per
-  // round).
+  // round). Each round forces the log, publishes the outcome to the
+  // waiters and then, when config_.checkpoint.daemon is set, runs
+  // CheckpointStep, all under one hold of force_mu_.
   void StartDaemon();
   void StopDaemon();
   void DaemonLoop();
-  // Checkpoint daemon plumbing (DESIGN.md section 4g). Start/Stop follow
-  // the same lifecycle discipline as the commit daemon: called only while
-  // NOT holding force_mu_; the daemon's round takes force_mu_ itself, so
-  // quiesced sections block it without stopping it.
-  void StartCkptDaemon();
-  void StopCkptDaemon();
-  // Daemon round: while the live log exceeds the window, pick a target and
-  // run one CheckpointBatch draining toward window/2.
-  void CkptRound();
+  // The continuous checkpoint (DESIGN.md section 4g), a step of the commit
+  // daemon's round: while the live log exceeds the window, pick a target
+  // and run one CheckpointBatch draining toward window/2. Caller holds
+  // force_mu_.
+  void CheckpointStep();
   // Effective recovery-window bound in log sectors: the configured value,
   // or one log third when checkpoint.window_sectors == 0.
   std::uint32_t CheckpointWindowSectors() const;
   // One checkpoint: saves the VAM base under VAM logging, writes home (in
-  // batch_pages chunks) every cached page whose latest logged image
+  // kCheckpointBatchPages chunks) every cached page whose latest logged image
   // precedes `target`, then durably advances the log's oldest-record
   // pointer past the dropped records. Caller holds force_mu_; the gate
   // stays OPEN — mutators interleave with the home writes, which is the
   // whole point.
   Status CheckpointBatch(std::uint64_t target);
+  // Home pages per elevator batch inside a checkpoint: mutators only ever
+  // wait behind one batch, not a whole third drain.
+  static constexpr std::size_t kCheckpointBatchPages = 32;
   // The one way pages go home. Selects every cached page whose latest
   // logged image belongs to a commit group starting below LSN `bound`,
   // writes that image to its home sector(s) in elevator batches of at most
   // `chunk` pages (each batch's primaries and leaders before its
   // replicas), and retires the frames. A frame the force in progress
   // captured stays dirty. Callers: third entry (one batch to the third
-  // boundary), CheckpointBatch (batch_pages chunks, then the pointer
-  // moves) and Shutdown (one batch of everything, no pointer move). Caller
-  // holds force_mu_. Returns the number of pages written.
+  // boundary), CheckpointBatch (kCheckpointBatchPages chunks, then the
+  // pointer moves) and Shutdown (one batch of everything, no pointer move).
+  // Caller holds force_mu_. Returns the number of pages written.
   static constexpr std::size_t kOneBatch =
       std::numeric_limits<std::size_t>::max();
   Result<std::size_t> WriteHome(std::uint64_t bound, std::size_t chunk);
@@ -704,7 +708,6 @@ class Fsd : public fs::FileSystem {
   // open_files_.
   mutable std::mutex open_mu_;
   std::thread commit_daemon_;
-  std::unique_ptr<CkptDaemon> ckpt_daemon_;
 
   // ScopedQuiesce re-entrancy bookkeeping: the owning thread's id (set by
   // the outermost scope while force_mu_ is held, cleared on exit) and the

@@ -23,7 +23,7 @@ namespace cedar::core {
 //   - top level: on-disk geometry knobs (these are parsed back out of the
 //     volume root at mount, so they must stay flat and stable)
 //   - commit:     group-commit policy (interval, daemon, group size)
-//   - checkpoint: continuous checkpoint daemon policy (recovery window)
+//   - checkpoint: continuous checkpoint policy (recovery window)
 //   - durability: read/write hardening and recovery ablations
 //   - cpu:        the virtual CPU cost model
 //
@@ -67,24 +67,20 @@ struct FsdConfig {
 
   // ---- Continuous checkpoint policy.
   struct Checkpoint {
-    // Run the continuous checkpoint daemon: a background thread that
-    // incrementally writes home pages for the oldest log region and
+    // Run the continuous checkpoint as a step of the commit daemon: after
+    // each daemon force has released its waiters, the same thread writes
+    // home pages for the oldest log region in small elevator batches and
     // advances the persisted checkpoint pointer, keeping the live log (the
     // recovery window) bounded by `window_sectors` instead of letting it
-    // grow until third entry writes a whole third home synchronously.
-    // Requires commit.daemon (the checkpoint daemon exists to unstall the
-    // parallel commit path; the combination of a background checkpointer
-    // with inline forces has no supported use and is rejected by
-    // Validate()).
+    // grow until third entry writes a whole third home synchronously. No
+    // thread of its own: the step runs at a point fixed by log state.
+    // Requires commit.daemon (the step rides the daemon's forces; inline
+    // forces rely on third entry, and Validate() rejects the combination).
     bool daemon = false;
-    // Recovery-window bound in log sectors: the daemon starts checkpointing
+    // Recovery-window bound in log sectors: the step starts checkpointing
     // when the live log exceeds this and drains it back to about half. 0
     // means "one log third" — the exposure third entry alone allows.
     std::uint32_t window_sectors = 0;
-    // Home pages written per IoScheduler batch inside a checkpoint round.
-    // Small batches keep the daemon's disk occupancy polite: mutators only
-    // ever wait behind one batch, not a whole third drain.
-    std::uint32_t batch_pages = 32;
   };
   Checkpoint checkpoint;
 
@@ -108,10 +104,6 @@ struct FsdConfig {
     // behavior in hash-map order — the unbatched baseline bench_flush
     // measures against.
     bool batched_writeback = true;
-    // Bounded retry for soft (transient) read errors: a sector read that
-    // fails with kReadTransient is reissued up to this many times before
-    // the error is surfaced. Each retry bumps the fsd.read_retries counter.
-    std::uint32_t read_retry_limit = 3;
   };
   Durability durability;
 

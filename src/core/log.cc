@@ -139,12 +139,8 @@ Status FsdConfig::Validate() const {
   if (checkpoint.daemon && !commit.daemon) {
     return MakeError(ErrorCode::kInvalidArgument,
                      "checkpoint.daemon requires commit.daemon (the "
-                     "continuous checkpointer backstops the parallel "
-                     "commit path; inline forces rely on third entry)");
-  }
-  if (checkpoint.batch_pages == 0) {
-    return MakeError(ErrorCode::kInvalidArgument,
-                     "checkpoint.batch_pages must be >= 1");
+                     "checkpoint step runs on the commit daemon; inline "
+                     "forces rely on third entry)");
   }
   if (checkpoint.window_sectors != 0) {
     // The live log can never be drained below the newest commit group, so

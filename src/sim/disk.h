@@ -68,6 +68,7 @@ class SimDisk : public BlockDevice {
     stats_ = DiskStats{};
   }
   std::uint32_t HeadCylinder() const override {
+    std::lock_guard<std::mutex> lock(mu_);
     return timing_.current_cylinder();
   }
 

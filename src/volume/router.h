@@ -5,9 +5,9 @@
 // The router scales past that by hashing each file name's shard key (the
 // same 16-way hash FSD uses internally, core::Fsd::ShardOf) onto one of N
 // volumes. Each volume is a complete FSD rig — its own device (disk or
-// array), log, group-commit and checkpoint daemons, and virtual clock — so
-// volumes commit, checkpoint, and recover fully independently; the router
-// adds no shared lock on the operation path.
+// array), log, group-commit daemon (which also checkpoints), and virtual
+// clock — so volumes commit, checkpoint, and recover fully independently;
+// the router adds no shared lock on the operation path.
 //
 // Handles: the router returns fs::FileHandle values whose uid carries the
 // owning volume index in the low 4 bits (uid' = uid << 4 | volume), so

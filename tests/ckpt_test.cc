@@ -1,14 +1,18 @@
-// The continuous checkpoint daemon and the maintenance/config API around it.
+// The continuous checkpoint (a step of the commit daemon) and the
+// maintenance/config API around it.
 //
 // Contracts pinned here:
 //   - FsdConfig::Validate() rejects inconsistent combinations (checkpoint
 //     daemon without commit daemon, unsatisfiable recovery windows), and
 //     Format/Mount fail fast on them instead of misbehaving later.
 //   - With both daemons on, 8 mutator threads cannot grow the crash-replay
-//     exposure without bound: the daemon advances the durable checkpoint
-//     pointer, and once the mutators stop the live log settles under the
-//     configured window.
-//   - The daemon stops and restarts across Shutdown/Mount cycles.
+//     exposure without bound: the checkpoint step advances the durable
+//     checkpoint pointer, and once the last Force() returns the live log is
+//     under the configured window.
+//   - The step runs right after each daemon force, before the next client
+//     can observe the log: a single client sees the window bounded after
+//     every Force(), with no waiting.
+//   - The step keeps running across Shutdown/Mount cycles.
 //   - ScopedQuiesce is re-entrant on one thread (RunQuiesced can nest, and
 //     quiesced entry points like Scrub/Fsck work inside it), and the gate
 //     reopens exactly once.
@@ -18,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -51,7 +54,6 @@ FsdConfig CkptConfig() {
   config.commit.daemon = true;
   config.checkpoint.daemon = true;
   config.checkpoint.window_sectors = kWindowSectors;
-  config.checkpoint.batch_pages = 8;
   return config;
 }
 
@@ -82,10 +84,6 @@ TEST(CkptConfigTest, ValidateRejectsUnsatisfiableWindows) {
 
 TEST(CkptConfigTest, ValidateRejectsDegenerateSizes) {
   FsdConfig config;
-  config.checkpoint.batch_pages = 0;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
-
-  config = FsdConfig{};
   config.commit.group_records = 0;
   EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
 
@@ -109,7 +107,7 @@ TEST(CkptConfigTest, FormatAndMountFailFastOnInvalidConfig) {
 }
 
 // ---------------------------------------------------------------------------
-// The daemon under concurrent mutators.
+// The checkpoint step under concurrent mutators.
 
 class CkptTest : public ::testing::Test {
  protected:
@@ -117,23 +115,6 @@ class CkptTest : public ::testing::Test {
       : disk_(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_),
         fsd_(&disk_, CkptConfig()) {
     CEDAR_CHECK_OK(fsd_.Format());
-  }
-
-  // Waits for the background round triggered by the last force to settle
-  // the live log under the window. Returns the final window in bytes.
-  std::uint64_t AwaitBoundedWindow() {
-    const std::uint64_t bound = std::uint64_t{kWindowSectors} * 512;
-    for (int spin = 0; spin < 2000; ++spin) {
-      auto window = fsd_.RecoveryWindow();
-      CEDAR_CHECK_OK(window.status());
-      if (*window <= bound) {
-        return *window;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    auto window = fsd_.RecoveryWindow();
-    CEDAR_CHECK_OK(window.status());
-    return *window;
   }
 
   sim::VirtualClock clock_;
@@ -169,26 +150,47 @@ TEST_F(CkptTest, DaemonBoundsRecoveryWindowUnderMutators) {
   ASSERT_TRUE(fsd_.Force().ok());
 
   // The workload wrote far more log than the 400-sector volume holds, so
-  // the daemon must have durably advanced the pointer at least once.
+  // the checkpoint step must have durably advanced the pointer at least
+  // once.
   const FsdStats stats = fsd_.stats();
-  EXPECT_GT(stats.ckpt_advances, 0u) << "daemon never advanced the pointer";
+  EXPECT_GT(stats.ckpt_advances, 0u) << "step never advanced the pointer";
   EXPECT_GT(stats.ckpt_batches, 0u);
 
-  // Once the mutators stop, the last notified round settles the live log
-  // under the configured window — a crash now replays a bounded region.
-  const std::uint64_t window = AwaitBoundedWindow();
-  EXPECT_LE(window, std::uint64_t{kWindowSectors} * 512)
-      << "recovery window never settled under the configured bound";
+  // The step ran under force_mu_ right after the last daemon force, so the
+  // window read (which takes force_mu_) already sees the drained log — a
+  // crash now replays a bounded region.
+  auto window = fsd_.RecoveryWindow();
+  ASSERT_TRUE(window.ok()) << window.status();
+  EXPECT_LE(*window, std::uint64_t{kWindowSectors} * 512)
+      << "recovery window above the configured bound after the last force";
 
   auto report = fsd_.Fsck();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->violations(), 0u) << report->Summary();
 }
 
+TEST_F(CkptTest, WindowIsBoundedWhenForceReturns) {
+  // One client, so nothing else writes the log between a Force() returning
+  // and the window read: the bound holds after every single force, not
+  // just eventually.
+  const std::uint64_t bound = std::uint64_t{kWindowSectors} * 512;
+  for (int i = 0; i < 320; ++i) {
+    ASSERT_TRUE(fsd_.CreateFile("s/f" + std::to_string(i % 11),
+                                Bytes(500, static_cast<std::uint8_t>(i)))
+                    .ok());
+    ASSERT_TRUE(fsd_.Force().ok());
+    auto window = fsd_.RecoveryWindow();
+    ASSERT_TRUE(window.ok()) << window.status();
+    ASSERT_LE(*window, bound) << "after force " << i;
+  }
+  EXPECT_GT(fsd_.stats().ckpt_advances, 0u);
+}
+
 TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
   for (int cycle = 0; cycle < 3; ++cycle) {
-    // A clean Mount reformats the log, so each cycle must prove the daemon
-    // restarted by itself: churn until the advance counter moves again.
+    // A clean Mount reformats the log, so each cycle must prove the step
+    // runs again after the daemon restarts: churn until the advance counter
+    // moves again.
     const std::uint64_t advances_before = fsd_.stats().ckpt_advances;
     for (int i = 0; i < 500 && fsd_.stats().ckpt_advances == advances_before;
          ++i) {
@@ -199,7 +201,7 @@ TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
       ASSERT_TRUE(fsd_.Force().ok());
     }
     EXPECT_GT(fsd_.stats().ckpt_advances, advances_before)
-        << "daemon did not advance after mount cycle " << cycle;
+        << "no checkpoint advance after mount cycle " << cycle;
     ASSERT_TRUE(fsd_.Shutdown().ok());
     // Unmounted: the maintenance surface reports the precondition failure
     // instead of touching stopped machinery.
@@ -284,7 +286,7 @@ TEST(CkptFallbackTest, ThirdFlushFallbackCountsWithoutTheDaemon) {
   }
   ASSERT_TRUE(fsd.Force().ok());
   // Enough forced metadata churn to wrap the 396-sector record area: with
-  // no checkpoint daemon, re-entering the third that still holds the cold
+  // no checkpoint step, re-entering the third that still holds the cold
   // pages' images is a synchronous checkpoint that writes them home, and
   // the fallback counter says so.
   for (int i = 0; i < 60; ++i) {
