@@ -120,6 +120,25 @@ class Fsd::NtStore : public btree::PageStore {
     const std::uint32_t first = (id / cluster) * cluster;
     const std::uint32_t count =
         std::min(cluster, fsd_->config_.nt_pages - first);
+    const NtImage* image = fsd_->rebuild_image_;
+    if (image != nullptr && image->valid[id]) {
+      // Rebuild walk: the preload sweep already read, elected and repaired
+      // every page. Insert the same cluster the disk path would, in the
+      // same order, so the cache ends the mount frame for frame the same.
+      auto winner = [&](std::uint32_t pid) {
+        return std::span<const std::uint8_t>(image->sectors)
+            .subspan(static_cast<std::size_t>(pid) * 512, 512);
+      };
+      for (std::uint32_t pid = first; pid < first + count; ++pid) {
+        if (image->valid[pid]) {
+          auto good = winner(pid);
+          fsd_->cache_.InsertIfAbsent(
+              pid, std::vector<std::uint8_t>(good.begin(), good.end()));
+        }
+      }
+      std::copy_n(winner(id).begin(), kPayload, out.begin());
+      return OkStatus();
+    }
 
     std::vector<std::uint8_t> a(static_cast<std::size_t>(count) * 512);
     std::vector<std::uint8_t> b(a.size());
@@ -956,7 +975,7 @@ Status Fsd::MountDegradedLocked() {
   return OkStatus();
 }
 
-Status Fsd::PreloadNameTable() {
+Status Fsd::PreloadNameTable(NtImage* image) {
   const std::uint32_t n = config_.nt_pages;
   std::vector<std::uint8_t> region_a(static_cast<std::size_t>(n) * 512);
   std::vector<std::uint8_t> region_b(static_cast<std::size_t>(n) * 512);
@@ -1026,8 +1045,9 @@ Status Fsd::PreloadNameTable() {
   CEDAR_RETURN_IF_ERROR(patch_remapped(region_b, layout_.ntb_base, bad_b_set));
   HomeBatch repairs(disk_, config_.durability.batched_writeback);
   const bool degraded = degraded_.load(std::memory_order_relaxed);
+  std::vector<bool> valid(n, false);
   for (std::uint32_t pid = 0; pid < n; ++pid) {
-    auto a = std::span<const std::uint8_t>(region_a)
+    auto a = std::span<std::uint8_t>(region_a)
                  .subspan(static_cast<std::size_t>(pid) * 512, 512);
     auto b = std::span<const std::uint8_t>(region_b)
                  .subspan(static_cast<std::size_t>(pid) * 512, 512);
@@ -1040,6 +1060,7 @@ Status Fsd::PreloadNameTable() {
     if (!ok_a && !ok_b) {
       continue;  // free page, or a loss the per-page read path will report
     }
+    valid[pid] = true;
     if (readable_a && !ok_a) {
       c_.corruption_detected->Increment();
     }
@@ -1048,10 +1069,15 @@ Status Fsd::PreloadNameTable() {
     }
     nt_store_->MergeSeq(std::max(ok_a ? seq_a : 0u, ok_b ? seq_b : 0u));
     // Winner: newest valid copy; tie → primary (historical direction).
+    // It is copied into region A's slot, so that buffer ends up holding
+    // every winner: the image the rebuild walk reads.
     const bool b_wins = ok_b && (!ok_a || seq_b > seq_a);
-    auto good = b_wins ? b : a;
     const bool diverged =
         !ok_a || !ok_b || !std::equal(a.begin(), a.end(), b.begin());
+    if (b_wins) {
+      std::copy(b.begin(), b.end(), a.begin());
+    }
+    auto good = std::span<const std::uint8_t>(a);
     if (diverged && !degraded) {
       const sim::Lba loser_home =
           b_wins ? layout_.nta_base + pid : layout_.ntb_base + pid;
@@ -1061,14 +1087,27 @@ Status Fsd::PreloadNameTable() {
     }
     cache_.Insert(pid, std::vector<std::uint8_t>(good.begin(), good.end()));
   }
-  return FlushHomeBatch(repairs);
+  CEDAR_RETURN_IF_ERROR(FlushHomeBatch(repairs));
+  if (image != nullptr) {
+    image->sectors = std::move(region_a);
+    image->valid = std::move(valid);
+  }
+  return OkStatus();
 }
 
 Status Fsd::RebuildVolatileState() {
   // Reconstruct the VAM from the name table (paper section 5.5): the name
   // table is compact and local, so this scan is fast; the cost is mostly
-  // per-entry CPU. Both regions are slurped sequentially first.
-  CEDAR_RETURN_IF_ERROR(PreloadNameTable());
+  // per-entry CPU. Both regions are slurped sequentially first, and the
+  // walk below reads every page from that sweep's image, never the disk
+  // again, however few of them the cache kept.
+  NtImage image;
+  CEDAR_RETURN_IF_ERROR(PreloadNameTable(&image));
+  rebuild_image_ = &image;
+  struct ImageScope {
+    const NtImage*& slot;
+    ~ImageScope() { slot = nullptr; }
+  } image_scope{rebuild_image_};
   vam_.free().SetRange(0, vam_.free().size(), true);
   CEDAR_RETURN_IF_ERROR(MarkSystemRegionsUsed());
   vam_.nt_free().SetRange(0, config_.nt_pages, true);
@@ -2321,7 +2360,7 @@ Status Fsd::Write(const fs::FileHandle& file, std::uint64_t offset,
     result = BeginOp(&await_seq);
     if (result.ok()) {
       GateRelease gate{&gate_};
-      result = WriteLocked(file, state, offset, data);
+      result = WriteLocked(state, offset, data);
     }
   }
   const Status durable = AwaitCommit(await_seq);
@@ -2331,8 +2370,7 @@ Status Fsd::Write(const fs::FileHandle& file, std::uint64_t offset,
   return result;
 }
 
-Status Fsd::WriteLocked(const fs::FileHandle& file, const OpenState& state,
-                        std::uint64_t offset,
+Status Fsd::WriteLocked(const OpenState& state, std::uint64_t offset,
                         std::span<const std::uint8_t> data) {
   ChargeOp();
   CEDAR_RETURN_IF_ERROR(CheckWritable());
@@ -2423,7 +2461,7 @@ Status Fsd::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
     result = BeginOp(&await_seq);
     if (result.ok()) {
       GateRelease gate{&gate_};
-      result = ExtendLocked(file, state, bytes);
+      result = ExtendLocked(state, bytes);
       if (result.ok()) {
         shard_ops_[ShardOf(state.name)].fetch_add(1,
                                                   std::memory_order_relaxed);
@@ -2437,8 +2475,7 @@ Status Fsd::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
   return result;
 }
 
-Status Fsd::ExtendLocked(const fs::FileHandle& file, const OpenState& state,
-                         std::uint64_t bytes) {
+Status Fsd::ExtendLocked(const OpenState& state, std::uint64_t bytes) {
   ChargeOp();
   CEDAR_RETURN_IF_ERROR(CheckWritable());
   CEDAR_ASSIGN_OR_RETURN(FsdEntry entry,
@@ -2872,13 +2909,17 @@ Result<Fsd::ScrubReport> Fsd::ScrubLocked() {
       continue;  // the central metadata complex is not file space
     }
     const bool used = !vam_.IsFree(lba);
+    // Extents and VAM deltas hold 32-bit sectors; a wider volume must stop
+    // here rather than reconcile the wrong sector.
+    CEDAR_CHECK(lba <= std::numeric_limits<std::uint32_t>::max());
+    const auto sector = static_cast<std::uint32_t>(lba);
     if (used && !referenced.Get(lba)) {
-      vam_.MarkFree(fs::Extent{.start = lba, .count = 1});
-      RecordDelta(VamDelta::Op::kFree, lba, 1);
+      vam_.MarkFree(fs::Extent{.start = sector, .count = 1});
+      RecordDelta(VamDelta::Op::kFree, sector, 1);
       ++report.leaked_sectors_reclaimed;
     } else if (!used && referenced.Get(lba)) {
-      vam_.MarkUsed(fs::Extent{.start = lba, .count = 1});
-      RecordDelta(VamDelta::Op::kAlloc, lba, 1);
+      vam_.MarkUsed(fs::Extent{.start = sector, .count = 1});
+      RecordDelta(VamDelta::Op::kAlloc, sector, 1);
       ++report.missing_used_sectors_fixed;
     }
   }

@@ -429,10 +429,9 @@ class Fsd : public fs::FileSystem {
   Result<fs::FileHandle> OpenLocked(std::string_view name);
   Status ReadLocked(const fs::FileHandle& file, const OpenState& state,
                     std::uint64_t offset, std::span<std::uint8_t> out);
-  Status WriteLocked(const fs::FileHandle& file, const OpenState& state,
-                     std::uint64_t offset, std::span<const std::uint8_t> data);
-  Status ExtendLocked(const fs::FileHandle& file, const OpenState& state,
-                      std::uint64_t bytes);
+  Status WriteLocked(const OpenState& state, std::uint64_t offset,
+                     std::span<const std::uint8_t> data);
+  Status ExtendLocked(const OpenState& state, std::uint64_t bytes);
   Status DeleteFileLocked(std::string_view name);
   Result<std::vector<fs::FileInfo>> ListLocked(std::string_view prefix);
   Status TouchLocked(std::string_view name);
@@ -603,10 +602,19 @@ class Fsd : public fs::FileSystem {
   Status WriteVolumeRoot(bool clean);
   Status ReadVolumeRoot(bool* clean);
   Status RebuildVolatileState();  // VAM + name-table page map from the tree
+  // What a preload sweep elected: the winning 512-byte sector of every
+  // name-table page (region A's sweep buffer with B's winners copied in)
+  // and which pages had a valid copy at all.
+  struct NtImage {
+    std::vector<std::uint8_t> sectors;
+    std::vector<bool> valid;
+  };
   // Bulk sequential read of both name-table regions into the cache (with
-  // replica cross-check), so the rebuild scan runs at media rate instead of
-  // seeking between the copies per page.
-  Status PreloadNameTable();
+  // replica cross-check and repair). The cache keeps only `cache_frames`
+  // of the pages; when `image` is non-null it receives every winner, and
+  // the rebuild walk serves the evicted pages from it, so the scan runs at
+  // media rate at any cache size instead of seeking back for them.
+  Status PreloadNameTable(NtImage* image = nullptr);
   Status MarkSystemRegionsUsed();
 
   Result<std::pair<std::uint32_t, FsdEntry>> HighestVersion(
@@ -650,6 +658,9 @@ class Fsd : public fs::FileSystem {
   FsdLayout layout_;
 
   std::unique_ptr<NtStore> nt_store_;
+  // The preload sweep's image, set only while RebuildVolatileState walks
+  // the tree: NtStore::ReadPage serves cache misses from it, not the disk.
+  const NtImage* rebuild_image_ = nullptr;
   std::unique_ptr<btree::BTree> tree_;
   std::unique_ptr<FsdLog> log_;
   Vam vam_;

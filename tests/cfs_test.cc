@@ -254,7 +254,8 @@ TEST_F(CfsTest, ScavengeAfterTornNameTableWrite) {
   // new, 1 damaged, 1 old — the non-atomic update of paper section 5.3.
   disk_.ArmCrash(sim::CrashPlan{.at_write_index = 4,  // a name-table write
                                 .sectors_completed = 2,
-                                .sectors_damaged = 1});
+                                .sectors_damaged = 1,
+                                .drop_writes = {}});
   // Keep creating until the crash fires.
   Status status = OkStatus();
   for (int i = 0; i < 50 && status.ok(); ++i) {

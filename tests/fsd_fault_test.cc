@@ -240,5 +240,88 @@ TEST_F(FsdFaultTest, RootCopyReadFaultHealedOnMount) {
   ASSERT_TRUE(fsd->Shutdown().ok());
 }
 
+
+// A mount that rebuilds the VAM walks the whole tree, and with a tree
+// larger than the cache the walk serves the evicted pages from the preload
+// sweep's image instead of the disk. Damage must be attributed and repaired
+// exactly as before: a page with no valid copy falls through to the disk
+// read path, and a page the replica saved is repaired once, by the sweep.
+class RebuildWalkFaultTest : public ::testing::Test {
+ protected:
+  static core::FsdConfig TinyCacheCfg() {
+    core::FsdConfig config = FaultCfg();
+    config.cache_frames = 16;
+    return config;
+  }
+
+  RebuildWalkFaultTest()
+      : disk_(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_) {
+    core::Fsd fsd(&disk_, TinyCacheCfg());
+    CEDAR_CHECK_OK(fsd.Format());
+    for (int i = 0; i < kFiles; ++i) {
+      CEDAR_CHECK_OK(
+          fsd.CreateFile("w/f" + std::to_string(i), Bytes(300, 9)).status());
+    }
+    auto fsck = fsd.Fsck();
+    CEDAR_CHECK_OK(fsck.status());
+    tree_pages_ = static_cast<std::uint32_t>(fsck->nt_pages_checked);
+    CEDAR_CHECK(tree_pages_ > TinyCacheCfg().cache_frames);
+    layout_ = fsd.layout();
+    CEDAR_CHECK_OK(fsd.Shutdown());
+  }
+
+  // Mounts after losing the saved VAM, so the mount must rebuild it from a
+  // full walk of the tree (the crash-mount path, with no log replay to
+  // rewrite the damaged pages first).
+  Status MountRebuilding(core::Fsd& fsd) {
+    disk_.DamageSectors(layout_.vam_base, 2);
+    return fsd.Mount();
+  }
+
+  static constexpr int kFiles = 300;
+  sim::VirtualClock clock_;
+  sim::SimDisk disk_;
+  core::FsdLayout layout_;
+  // Pages [0, tree_pages_) are all in the tree: nothing was ever deleted,
+  // and pages allocate lowest-free first.
+  std::uint32_t tree_pages_ = 0;
+};
+
+TEST_F(RebuildWalkFaultTest, PageWithNoValidCopyFailsTheMount) {
+  const std::uint32_t pid = 1;
+  disk_.InjectPersistentFault(layout_.nta_base + pid, sim::FaultMode::kDead);
+  disk_.InjectPersistentFault(layout_.ntb_base + pid, sim::FaultMode::kDead);
+  core::Fsd fsd(&disk_, TinyCacheCfg());
+  EXPECT_EQ(MountRebuilding(fsd).code(), ErrorCode::kSectorDamaged);
+  EXPECT_EQ(fsd.Health().nt_pages_lost, 1u);
+}
+
+TEST_F(RebuildWalkFaultTest, RottedPrimariesServedFromReplicaAndRepairedOnce) {
+  constexpr std::uint32_t kRotted = 8;
+  for (std::uint32_t pid = 0; pid < kRotted; ++pid) {
+    disk_.CorruptSector(layout_.nta_base + pid, 3000 + pid);
+  }
+  {
+    core::Fsd fsd(&disk_, TinyCacheCfg());
+    ASSERT_TRUE(MountRebuilding(fsd).ok());
+    EXPECT_EQ(fsd.Health().corruption_detected, kRotted);
+    EXPECT_EQ(fsd.Health().repairs, kRotted);
+    auto list = fsd.List("w/");
+    ASSERT_TRUE(list.ok());
+    EXPECT_EQ(list->size(), static_cast<std::size_t>(kFiles));
+    auto fsck = fsd.Fsck();
+    ASSERT_TRUE(fsck.ok());
+    EXPECT_TRUE(fsck->Clean()) << fsck->Summary();
+    EXPECT_EQ(fsck->nt_pages_checked, tree_pages_);
+    ASSERT_TRUE(fsd.Shutdown().ok());
+  }
+  // The repairs reached the medium: the next rebuild finds both copies of
+  // every page agreeing.
+  core::Fsd again(&disk_, TinyCacheCfg());
+  ASSERT_TRUE(MountRebuilding(again).ok());
+  EXPECT_EQ(again.Health().corruption_detected, 0u);
+  EXPECT_EQ(again.Health().repairs, 0u);
+}
+
 }  // namespace
 }  // namespace cedar

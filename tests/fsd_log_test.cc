@@ -145,7 +145,8 @@ TEST_F(FsdLogTest, TornRecordIsDroppedAtRecovery) {
   // Tear the next record: crash after 3 of its 7 sectors.
   disk_.ArmCrash(sim::CrashPlan{.at_write_index = 0,
                                 .sectors_completed = 3,
-                                .sectors_damaged = 1});
+                                .sectors_damaged = 1,
+                                .drop_writes = {}});
   std::vector<PageImage> two = {Image(5001, kNoLba, 2)};
   EXPECT_EQ(log_.AppendGroup(two, [](std::uint64_t) { return OkStatus(); })
                 .status()

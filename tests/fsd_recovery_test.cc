@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/trace.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/random.h"
@@ -121,7 +123,8 @@ TEST_F(FsdRecoveryTest, TornLogWriteLosesOnlyTheTornBatch) {
   // The next force's log write is torn after 2 sectors.
   disk_.ArmCrash(sim::CrashPlan{.at_write_index = 0,
                                 .sectors_completed = 2,
-                                .sectors_damaged = 2});
+                                .sectors_damaged = 2,
+                                .drop_writes = {}});
   EXPECT_EQ(fsd_->Force().code(), ErrorCode::kDeviceCrashed);
 
   disk_.Reopen();
@@ -267,7 +270,8 @@ TEST_P(FsdCrashMatrixTest, ConsistentAfterCrashAtAnyWrite) {
   disk.ArmCrash(sim::CrashPlan{
       .at_write_index = static_cast<std::uint64_t>(crash_write),
       .sectors_completed = 1,
-      .sectors_damaged = 1});
+      .sectors_damaged = 1,
+      .drop_writes = {}});
 
   // Churn until the crash fires (creates, deletes, touches, commits).
   Rng rng(static_cast<std::uint64_t>(crash_write) * 31 + 7);
@@ -325,6 +329,84 @@ TEST_P(FsdCrashMatrixTest, ConsistentAfterCrashAtAnyWrite) {
 
 INSTANTIATE_TEST_SUITE_P(CrashPoints, FsdCrashMatrixTest,
                          ::testing::Range(0, 60, 3));
+
+// ---------------------------------------------------------------------------
+// The crash-mount VAM rebuild walks the whole tree (section 5.5). It reads
+// each page from the preload sweep's image, so a tree that outgrows the
+// cache costs no name-table reads beyond the sweep itself.
+
+constexpr std::size_t kTinyCache = 16;
+
+FsdConfig CacheConfig(std::size_t cache_frames) {
+  FsdConfig config = SmallConfig();
+  config.cache_frames = cache_frames;
+  return config;
+}
+
+// Sectors of either name-table region that Mount() reads.
+std::uint64_t MountNtSectorsRead(sim::SimDisk& disk, Fsd& fsd) {
+  obs::DiskTracer tracer;
+  disk.set_tracer(&tracer);
+  const Status mounted = fsd.Mount();
+  disk.set_tracer(nullptr);
+  CEDAR_CHECK_OK(mounted);
+  const FsdLayout& layout = fsd.layout();
+  const std::uint64_t n = fsd.config().nt_pages;
+  std::uint64_t sectors = 0;
+  for (const obs::TraceEvent& event : tracer.Events()) {
+    if (event.kind != obs::DiskOpKind::kRead) {
+      continue;
+    }
+    for (const std::uint64_t base : {std::uint64_t{layout.nta_base},
+                                     std::uint64_t{layout.ntb_base}}) {
+      const std::uint64_t lo = std::max(event.lba, base);
+      const std::uint64_t hi = std::min(event.lba + event.sectors, base + n);
+      sectors += hi > lo ? hi - lo : 0;
+    }
+  }
+  return sectors;
+}
+
+TEST(RebuildWalkTest, TreeLargerThanCacheIsReadOnceBySweep) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  {
+    Fsd fsd(&disk, CacheConfig(kTinyCache));
+    ASSERT_TRUE(fsd.Format().ok());
+    for (int i = 0; i < 400; ++i) {
+      const auto seed = static_cast<std::uint8_t>(i);
+      ASSERT_TRUE(
+          fsd.CreateFile("t/f" + std::to_string(i), Bytes(100 + i % 700, seed))
+              .ok());
+    }
+    ASSERT_TRUE(fsd.Force().ok());
+    // Unforced work in flight, then power fails.
+    ASSERT_TRUE(fsd.DeleteFile("t/f7").ok());
+    disk.CrashNow();
+  }
+  disk.Reopen();
+  const sim::DiskSnapshot crashed = disk.Snapshot();
+
+  Fsd tiny(&disk, CacheConfig(kTinyCache));
+  EXPECT_EQ(MountNtSectorsRead(disk, tiny), 2u * tiny.config().nt_pages);
+  auto tiny_fsck = tiny.Fsck();
+  ASSERT_TRUE(tiny_fsck.ok());
+  EXPECT_TRUE(tiny_fsck->Clean()) << tiny_fsck->Summary();
+  ASSERT_GT(tiny_fsck->nt_pages_checked, kTinyCache);
+
+  // The same crash image, mounted with a cache that holds the whole tree,
+  // rebuilds exactly the same allocation map.
+  disk.Restore(crashed);
+  Fsd roomy(&disk, CacheConfig(1024));
+  EXPECT_EQ(MountNtSectorsRead(disk, roomy), 2u * roomy.config().nt_pages);
+  auto roomy_fsck = roomy.Fsck();
+  ASSERT_TRUE(roomy_fsck.ok());
+  EXPECT_TRUE(roomy_fsck->Clean()) << roomy_fsck->Summary();
+  EXPECT_EQ(roomy_fsck->nt_pages_checked, tiny_fsck->nt_pages_checked);
+  EXPECT_EQ(roomy.FreeSectors(), tiny.FreeSectors());
+  EXPECT_TRUE(roomy.Open("t/f7").ok());
+  EXPECT_TRUE(tiny.Open("t/f7").ok());
+}
 
 }  // namespace
 }  // namespace cedar::core

@@ -252,7 +252,8 @@ TEST_P(VamLogCrashMatrixTest, ConsistentAfterCrashAtAnyWrite) {
   disk.ArmCrash(sim::CrashPlan{
       .at_write_index = static_cast<std::uint64_t>(crash_write),
       .sectors_completed = 1,
-      .sectors_damaged = 1});
+      .sectors_damaged = 1,
+      .drop_writes = {}});
 
   Rng rng(static_cast<std::uint64_t>(crash_write) * 13 + 5);
   Status status = OkStatus();

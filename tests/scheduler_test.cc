@@ -302,7 +302,8 @@ TEST(FsdWritebackTest, CrashTearingCoalescedHomeWriteRecovers) {
   // (the paper's worst-case event), the rest of the transfer never happens.
   disk.ArmCrash(sim::CrashPlan{.at_write_index = 0,
                                .sectors_completed = 2,
-                               .sectors_damaged = 2});
+                               .sectors_damaged = 2,
+                               .drop_writes = {}});
   EXPECT_FALSE(fsd->Shutdown().ok());
   EXPECT_TRUE(disk.crashed());
 
