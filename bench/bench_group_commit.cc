@@ -85,9 +85,10 @@ BulkResult RunBulk(cedar::sim::Micros interval) {
 //
 // The paper's argument for group commit is that one log write commits the
 // work of *many* clients: "the log force that commits one client's update
-// commits everyone's". With the commit daemon enabled, N client threads
-// that each update a file and then demand durability should rendezvous on
-// a shared force, so forces-per-metadata-update falls like 1/N as N grows.
+// commits everyone's". N client threads that each update a file and then
+// demand durability should rendezvous on a shared force (the first Force()
+// leads it, the rest follow), so forces-per-metadata-update falls like 1/N
+// as N grows.
 
 class RoundBarrier {
  public:
@@ -117,7 +118,7 @@ struct CurvePoint {
   int threads = 0;
   std::uint64_t updates = 0;
   std::uint64_t forces = 0;          // log-writing group commits
-  std::uint64_t force_requests = 0;  // waits that had to flag new work
+  std::uint64_t force_requests = 0;  // Force() calls that led a force
   std::uint64_t piggybacked = 0;     // waits satisfied by a shared force
   double forces_per_update = 0;
 };
@@ -128,9 +129,7 @@ struct CurvePoint {
 // without it the threads drift apart and the rendezvous is less sharp.
 CurvePoint RunConcurrent(int threads, int rounds) {
   Rig rig;
-  cedar::core::FsdConfig config;
-  config.commit.daemon = true;
-  cedar::core::Fsd fsd(&rig.disk, config);
+  cedar::core::Fsd fsd(&rig.disk);
   CEDAR_CHECK_OK(fsd.Format());
   for (int t = 0; t < threads; ++t) {
     CEDAR_CHECK_OK(fsd.CreateFile("amo.t" + std::to_string(t),
@@ -207,9 +206,7 @@ std::string ShardDistinctName(int target_shard) {
 
 SatPoint RunSaturation(int threads, int rounds) {
   Rig rig;
-  cedar::core::FsdConfig config;
-  config.commit.daemon = true;
-  cedar::core::Fsd fsd(&rig.disk, config);
+  cedar::core::Fsd fsd(&rig.disk);
   CEDAR_CHECK_OK(fsd.Format());
   std::vector<std::string> names;
   names.reserve(threads);
@@ -367,7 +364,7 @@ int main(int argc, char** argv) {
   }
 
   // --threads N: just the concurrent amortization measurement for one N,
-  // with the commit daemon on. Used by CI and for plotting the curve.
+  // Used by CI and for plotting the curve.
   const int threads_flag = IntFlag(argc, argv, "--threads", 0);
   if (threads_flag > 0) {
     std::printf("Group commit amortization, %d concurrent clients\n\n",
@@ -434,7 +431,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nConcurrent clients: amortization via the commit daemon\n"
+      "\nConcurrent clients: amortization via group commit\n"
       "(each client: update own file -> rendezvous -> Force)\n");
   PrintCurveHeader();
   std::vector<CurvePoint> curve;

@@ -65,8 +65,8 @@ double FsdRecoverySeconds(std::uint32_t files, double* replay_s,
 
 // ---- --ckpt mode: recovery window vs log fill, thirds vs continuous. ----
 //
-// The continuous checkpoint's contract (checkpoint.daemon: a step the
-// commit daemon runs after each force) is that mount-time replay covers at
+// The continuous checkpoint's contract (checkpoint.daemon: a step that
+// follows every force) is that mount-time replay covers at
 // most `checkpoint.window_sectors` of log, no matter how much work ran
 // before the crash. Without it, the replay window grows with log fill until
 // third reclamation trims it — up to two thirds of the record area. This
@@ -90,7 +90,6 @@ cedar::core::FsdConfig CkptConfig(bool daemon) {
   // Single-record groups keep the window floor (one clamped commit group)
   // small, so a tight 200-sector window is a legal configuration.
   config.commit.group_records = 1;
-  config.commit.daemon = true;
   config.checkpoint.daemon = daemon;
   config.checkpoint.window_sectors = kCkptWindowSectors;
   // VAM logging removes the ~20 s rebuild constant from every mount, so the
@@ -115,9 +114,9 @@ CkptPoint RunCkptFill(int touches, bool daemon) {
         fsd.Touch("v/f" + std::to_string(i % kCkptFiles) + ".db"));
     CEDAR_CHECK_OK(fs.Force());
   }
-  // With the daemon on, the checkpoint step ran right after the last force
-  // and before that force's waiters could take force_mu_ again, so this read
-  // sees the drained window: no waiting, and the same value on every run.
+  // With the step on, it ran right after the last force, before that
+  // Force() returned, so this read sees the drained window: no waiting, and
+  // the same value on every run.
   CkptPoint point;
   point.touches = touches;
   point.daemon = daemon;
@@ -126,11 +125,9 @@ CkptPoint RunCkptFill(int touches, bool daemon) {
   point.pre_crash_window_bytes = window.value();
   rig.disk.CrashNow();
   rig.disk.Reopen();
-  // Recover with both daemons off so the measured virtual time is exactly
-  // the deterministic mount (replay + rebuild), with no background rounds
-  // racing the clock read.
+  // Recover with the step off so the measured virtual time is exactly the
+  // mount (replay + rebuild).
   cedar::core::FsdConfig recover_config = config;
-  recover_config.commit.daemon = false;
   recover_config.checkpoint.daemon = false;
   cedar::core::Fsd recovered(&rig.disk, recover_config);
   point.mount_ms =
@@ -200,8 +197,8 @@ BigTreePoint RunBigTree() {
   return point;
 }
 
-// Mount time and replay volume gate; the pre-crash window is the daemon's
-// contract and is already hard-gated below, so it rides along as info.
+// Mount time and replay volume gate; the pre-crash window is the checkpoint
+// step's contract and is already hard-gated below, so it rides along as info.
 // The big-tree row gates its mount time and the name-table sectors read
 // (the re-read count itself reads 0 when healthy, which benchdiff cannot
 // gate, so it is info here and hard-gated by CkptMain).
@@ -278,12 +275,12 @@ int CkptMain(int argc, char** argv) {
   WriteCkptJson(json_path, smoke, points, big);
 
   // Gates (CI runs this mode and fails on nonzero exit):
-  //   1. with the daemon, the pre-crash recovery window never exceeds the
-  //      configured bound — the daemon's contract;
-  //   2. with the daemon, mount replays at most the window's worth of
+  //   1. with the step, the pre-crash recovery window never exceeds the
+  //      configured bound — the step's contract;
+  //   2. with the step, mount replays at most the window's worth of
   //      pages, regardless of fill;
-  //   3. at the deepest fill, daemon replay is strictly below third-based
-  //      replay — bounded vs linear;
+  //   3. at the deepest fill, replay with the step is strictly below
+  //      third-based replay — bounded vs linear;
   //   4. the big-tree mount really outgrows the cache, and reads the name
   //      table once: nothing beyond the sweep.
   const std::uint64_t bound_bytes = std::uint64_t{kCkptWindowSectors} * 512;

@@ -52,9 +52,8 @@ WorkloadShape SmokeShape() {
 // same workload on a slower machine (or a CPU regression) without changing
 // the workload shape, so the config digest — and therefore comparability —
 // is preserved.
-cedar::core::FsdConfig BenchConfig(double cpu_scale, bool commit_daemon) {
+cedar::core::FsdConfig BenchConfig(double cpu_scale) {
   cedar::core::FsdConfig config;
-  config.commit.daemon = commit_daemon;
   config.cpu.per_op =
       static_cast<std::uint64_t>(config.cpu.per_op * cpu_scale);
   config.cpu.per_sector_io =
@@ -75,7 +74,7 @@ std::vector<cedar::workload::TraceEntry> RecordWorkload(
   using cedar::workload::RecordingFs;
   using cedar::workload::ScopedTenant;
   Rig rig;
-  cedar::core::Fsd fsd(&rig.disk, BenchConfig(cpu_scale, false));
+  cedar::core::Fsd fsd(&rig.disk, BenchConfig(cpu_scale));
   CEDAR_CHECK_OK(fsd.Format());
   RecordingFs rec(&fsd, &rig.clock);
 
@@ -170,7 +169,7 @@ ReplayPoint RunReplay(const std::vector<cedar::workload::TraceEntry>& trace,
                       int threads, double cpu_scale, bool free_run,
                       cedar::obs::DiskTracer* tracer) {
   Rig rig;
-  cedar::core::Fsd fsd(&rig.disk, BenchConfig(cpu_scale, free_run));
+  cedar::core::Fsd fsd(&rig.disk, BenchConfig(cpu_scale));
   CEDAR_CHECK_OK(fsd.Format());
   if (tracer != nullptr) {
     rig.disk.set_tracer(tracer);

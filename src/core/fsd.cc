@@ -397,7 +397,6 @@ FsdStats Fsd::stats() const {
   const CommitQueue::Stats queue_stats = log_->commit_queue().stats();
   s.force_requests = queue_stats.force_requests;
   s.piggybacked = queue_stats.piggybacked;
-  s.daemon_forces = queue_stats.daemon_forces;
   return s;
 }
 
@@ -449,7 +448,7 @@ Status Fsd::RepairLeader(const FsdEntry& entry, std::uint32_t version) {
   return wrote;
 }
 
-Fsd::~Fsd() { StopDaemon(); }
+Fsd::~Fsd() = default;
 
 const LogStats& Fsd::log_stats() const { return log_->stats(); }
 
@@ -614,16 +613,8 @@ Status Fsd::ReadVolumeRoot(bool* clean) {
 
 Status Fsd::Format() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopDaemon();
-  Status status;
-  {
-    ScopedQuiesce quiesce(this);
-    status = FormatLocked();
-  }
-  if (status.ok()) {
-    StartDaemon();
-  }
-  return status;
+  ScopedQuiesce quiesce(this);
+  return FormatLocked();
 }
 
 Status Fsd::FormatLocked() {
@@ -708,16 +699,8 @@ Status Fsd::FormatLocked() {
 
 Status Fsd::Mount() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopDaemon();
-  Status status;
-  {
-    ScopedQuiesce quiesce(this);
-    status = MountLocked();
-  }
-  if (status.ok()) {
-    StartDaemon();
-  }
-  return status;
+  ScopedQuiesce quiesce(this);
+  return MountLocked();
 }
 
 Status Fsd::MountLocked() {
@@ -846,8 +829,6 @@ Status Fsd::MountLocked() {
 
 Status Fsd::MountDegraded() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopDaemon();
-  // No daemon is started: a degraded mount is read-only and quiescent.
   ScopedQuiesce quiesce(this);
   return MountDegradedLocked();
 }
@@ -1690,144 +1671,92 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   return OkStatus();
 }
 
-Status Fsd::MaybeDeadlineForce(std::uint64_t* await_seq) {
-  if (!mounted_ || degraded_.load(std::memory_order_relaxed)) {
-    return OkStatus();
+Status Fsd::CommitStep() {
+  CommitQueue& queue = log_->commit_queue();
+  util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
+  // The capture phase closes the op gate and drains in-flight ops, so
+  // covered — the update sequence read at the drained point — names every
+  // update the force logs, including those recorded after the leader and
+  // its followers joined.
+  std::uint64_t covered = queue.latest_update();
+  Status status = CheckWritable();
+  if (status.ok()) {
+    status = ForceLogImpl(GateMode::kCloseAndReopen, &covered);
   }
-  const sim::Micros now = disk_->clock().now();
-  sim::Micros last = last_force_.load(std::memory_order_relaxed);
-  if (now - last < config_.commit.interval) {
-    return OkStatus();
+  // Followers go first; the checkpoint step that follows runs at a point
+  // fixed by log state (right after this force), not by a scheduler.
+  queue.Publish(covered, status);
+  if (status.ok() && config_.checkpoint.daemon) {
+    CheckpointStep();
   }
-  if (!config_.commit.daemon || await_seq == nullptr) {
-    util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-    // Re-check under force_mu_: a raced force may have just reset the timer.
-    if (disk_->clock().now() - last_force_.load(std::memory_order_relaxed) <
-        config_.commit.interval) {
-      return OkStatus();
-    }
-    return ForceLogImpl(GateMode::kCloseAndReopen);
-  }
-  // Daemon mode: hand the expired deadline to the flusher thread. The
-  // wrapper blocks on the commit queue AFTER dropping every lock, so the
-  // daemon can close the gate and run, and concurrent ops that hit the
-  // same deadline piggyback on the one force.
+  return status;
+}
+
+Status Fsd::CommitRecorded(sim::Micros last) {
   CommitQueue& queue = log_->commit_queue();
   const std::uint64_t latest = queue.latest_update();
   if (latest <= queue.durable_seq()) {
-    // Nothing new since the last force — the inline path would have been
-    // an empty force. Shadow sectors can't be pending either: a delete
-    // always bumps the update sequence, so anything shadowed is already
-    // covered by a completed force (which committed it). Restart the timer;
-    // the CAS makes concurrent ops hitting the same expired deadline count
-    // it once.
-    if (last_force_.compare_exchange_strong(last, now,
+    // Nothing new since the last durable force. Shadow sectors can't be
+    // pending either: a delete always bumps the update sequence, so
+    // anything shadowed is already covered by a completed force.
+    if (last_force_.compare_exchange_strong(last, disk_->clock().now(),
                                             std::memory_order_relaxed)) {
       c_.empty_forces->Increment();
     }
     return OkStatus();
   }
-  *await_seq = latest;
-  return OkStatus();
+  Status status;
+  if (!queue.Join(latest, &status)) {
+    return status;
+  }
+  return CommitStep();
+}
+
+Status Fsd::MaybeDeadlineForce() {
+  if (!mounted_ || degraded_.load(std::memory_order_relaxed)) {
+    return OkStatus();
+  }
+  const sim::Micros last = last_force_.load(std::memory_order_relaxed);
+  if (disk_->clock().now() - last < config_.commit.interval) {
+    return OkStatus();
+  }
+  return CommitRecorded(last);
 }
 
 Status Fsd::SpaceForce() {
   c_.space_forces->Increment();
-  if (config_.commit.daemon) {
-    // Ride the daemon's force when one will run: it resets the pending
-    // capture count. (A page can be pending before its op records an
-    // update; the inline fallback below covers that window.)
-    CommitQueue& queue = log_->commit_queue();
-    const std::uint64_t latest = queue.latest_update();
-    if (latest > queue.durable_seq()) {
-      return queue.AwaitDurable(latest);
+  // The pages pending capture, not the update sequence, say whether room
+  // is still needed: a page can be pending before its op records its
+  // update. A force that finishes while this caller follows may have made
+  // room already, so check again after each.
+  CommitQueue& queue = log_->commit_queue();
+  while (gate_.pending_capture_pages() > 0) {
+    Status status;
+    if (queue.Join(CommitQueue::kNextForce, &status)) {
+      return CommitStep();
     }
+    CEDAR_RETURN_IF_ERROR(status);
   }
-  util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-  if (gate_.pending_capture_pages() == 0) {
-    return OkStatus();  // a raced force already made room
-  }
-  return ForceLogImpl(GateMode::kCloseAndReopen);
+  return OkStatus();
 }
 
-Status Fsd::BeginOp(std::uint64_t* await_seq) {
-  CEDAR_RETURN_IF_ERROR(MaybeDeadlineForce(await_seq));
+Status Fsd::BeginOp() {
+  CEDAR_RETURN_IF_ERROR(MaybeDeadlineForce());
   while (!gate_.TryBegin()) {
     CEDAR_RETURN_IF_ERROR(SpaceForce());
   }
   return OkStatus();
 }
 
-Status Fsd::Tick() {
-  std::uint64_t await_seq = 0;
-  CEDAR_RETURN_IF_ERROR(
-      MaybeDeadlineForce(config_.commit.daemon ? &await_seq : nullptr));
-  return AwaitCommit(await_seq);
-}
+Status Fsd::Tick() { return MaybeDeadlineForce(); }
 
 Status Fsd::Force() {
   obs::ScopedLatency op_latency(h_.force, &disk_->clock());
   CEDAR_RETURN_IF_ERROR(CheckWritable());
-  if (!config_.commit.daemon) {
-    util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-    CEDAR_RETURN_IF_ERROR(CheckWritable());
-    return ForceLogImpl(GateMode::kCloseAndReopen);
-  }
-  // Group commit (paper section 3.2): block until a daemon force covers
-  // every update recorded so far. If a force already in flight covers the
-  // sequence, this wait rides on it — one log write commits them all.
-  CommitQueue& queue = log_->commit_queue();
-  return queue.AwaitDurable(queue.latest_update());
-}
-
-void Fsd::StartDaemon() {
-  if (!config_.commit.daemon || commit_daemon_.joinable()) {
-    return;
-  }
-  log_->commit_queue().Restart();
-  commit_daemon_ = std::thread([this] { DaemonLoop(); });
-}
-
-void Fsd::StopDaemon() {
-  if (!commit_daemon_.joinable()) {
-    return;
-  }
-  log_->commit_queue().Stop();
-  commit_daemon_.join();
-}
-
-void Fsd::DaemonLoop() {
-  CommitQueue& queue = log_->commit_queue();
-  while (queue.AwaitWork()) {
-    const std::uint64_t seq = queue.latest_update();
-    queue.BeginForce(seq);
-    if (!mounted_) {
-      queue.Publish(seq,
-                    MakeError(ErrorCode::kFailedPrecondition, "not mounted"));
-      continue;
-    }
-    // The capture phase closes the op gate and drains in-flight ops, so
-    // every update recorded before the capture — in particular everything
-    // numbered <= the sequence read above — is in the captured dirty set.
-    // covered re-reads the sequence at the drained point, so the publish
-    // credits piggybacked updates that slipped in before the gate closed.
-    util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-    std::uint64_t covered = seq;
-    const Status status = ForceLogImpl(GateMode::kCloseAndReopen, &covered);
-    // Durable waiters go first; the checkpoint step that follows runs at a
-    // point fixed by log state (right after this force), not by a scheduler.
-    queue.Publish(std::max(seq, covered), status);
-    if (status.ok() && config_.checkpoint.daemon) {
-      CheckpointStep();
-    }
-  }
-}
-
-Status Fsd::AwaitCommit(std::uint64_t seq) {
-  if (seq == 0) {
-    return OkStatus();
-  }
-  return log_->commit_queue().AwaitDurable(seq);
+  // Group commit (paper section 3.2): if a force in flight covers every
+  // update recorded so far, this call rides on it — one log write commits
+  // them all.
+  return CommitRecorded(last_force_.load(std::memory_order_relaxed));
 }
 
 std::uint32_t Fsd::CheckpointWindowSectors() const {
@@ -1923,7 +1852,6 @@ Status Fsd::RunQuiesced(const std::function<Status()>& fn) {
 }
 
 Status Fsd::Shutdown() {
-  StopDaemon();
   ScopedQuiesce quiesce(this);
   return ShutdownLocked();
 }
@@ -2038,22 +1966,14 @@ Result<fs::FileUid> Fsd::CreateFile(std::string_view name,
                                     std::span<const std::uint8_t> contents) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.create");
   obs::ScopedLatency op_latency(h_.create, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  auto result = [&]() -> Result<fs::FileUid> {
-    util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
-    CEDAR_RETURN_IF_ERROR(BeginOp(&await_seq));
-    GateRelease gate{&gate_};
-    auto r = CreateFileLocked(name, contents);
-    if (r.ok()) {
-      shard_ops_[ShardOf(name)].fetch_add(1, std::memory_order_relaxed);
-    }
-    return r;
-  }();
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
+  util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  auto r = CreateFileLocked(name, contents);
+  if (r.ok()) {
+    shard_ops_[ShardOf(name)].fetch_add(1, std::memory_order_relaxed);
   }
-  return result;
+  return r;
 }
 
 Result<fs::FileUid> Fsd::CreateFileLocked(
@@ -2138,18 +2058,10 @@ Result<fs::FileUid> Fsd::CreateFileLocked(
 Result<fs::FileHandle> Fsd::Open(std::string_view name) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.open");
   obs::ScopedLatency op_latency(h_.open, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  auto result = [&]() -> Result<fs::FileHandle> {
-    util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
-    CEDAR_RETURN_IF_ERROR(BeginOp(&await_seq));
-    GateRelease gate{&gate_};
-    return OpenLocked(name);
-  }();
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
-  }
-  return result;
+  util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  return OpenLocked(name);
 }
 
 Result<fs::FileHandle> Fsd::OpenLocked(std::string_view name) {
@@ -2205,27 +2117,16 @@ Status Fsd::Read(const fs::FileHandle& file, std::uint64_t offset,
                  std::span<std::uint8_t> out) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.read");
   obs::ScopedLatency op_latency(h_.read, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  Status result;
-  {
-    // Snapshot the open state FIRST: handle ops lock the shard of the name
-    // it resolved to, so the copy must precede the lock. A concurrent
-    // delete/close just makes the entry lookup below miss — same outcome
-    // as racing the old global lock.
-    CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
-    util::RankedLockGuard shard(NameShard(state.name),
-                                util::LockRank::kNameShard);
-    result = BeginOp(&await_seq);
-    if (result.ok()) {
-      GateRelease gate{&gate_};
-      result = ReadLocked(file, state, offset, out);
-    }
-  }
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
-  }
-  return result;
+  // Snapshot the open state FIRST: handle ops lock the shard of the name
+  // it resolved to, so the copy must precede the lock. A concurrent
+  // delete/close just makes the entry lookup below miss — same outcome
+  // as racing the old global lock.
+  CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
+  util::RankedLockGuard shard(NameShard(state.name),
+                              util::LockRank::kNameShard);
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  return ReadLocked(file, state, offset, out);
 }
 
 Status Fsd::ReadLocked(const fs::FileHandle& file, const OpenState& state,
@@ -2351,23 +2252,12 @@ Status Fsd::Write(const fs::FileHandle& file, std::uint64_t offset,
                   std::span<const std::uint8_t> data) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.write");
   obs::ScopedLatency op_latency(h_.write, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  Status result;
-  {
-    CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
-    util::RankedLockGuard shard(NameShard(state.name),
-                                util::LockRank::kNameShard);
-    result = BeginOp(&await_seq);
-    if (result.ok()) {
-      GateRelease gate{&gate_};
-      result = WriteLocked(state, offset, data);
-    }
-  }
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
-  }
-  return result;
+  CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
+  util::RankedLockGuard shard(NameShard(state.name),
+                              util::LockRank::kNameShard);
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  return WriteLocked(state, offset, data);
 }
 
 Status Fsd::WriteLocked(const OpenState& state, std::uint64_t offset,
@@ -2452,25 +2342,14 @@ Status Fsd::WriteLocked(const OpenState& state, std::uint64_t offset,
 Status Fsd::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.extend");
   obs::ScopedLatency op_latency(h_.extend, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  Status result;
-  {
-    CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
-    util::RankedLockGuard shard(NameShard(state.name),
-                                util::LockRank::kNameShard);
-    result = BeginOp(&await_seq);
-    if (result.ok()) {
-      GateRelease gate{&gate_};
-      result = ExtendLocked(state, bytes);
-      if (result.ok()) {
-        shard_ops_[ShardOf(state.name)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-      }
-    }
-  }
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
+  CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
+  util::RankedLockGuard shard(NameShard(state.name),
+                              util::LockRank::kNameShard);
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  Status result = ExtendLocked(state, bytes);
+  if (result.ok()) {
+    shard_ops_[ShardOf(state.name)].fetch_add(1, std::memory_order_relaxed);
   }
   return result;
 }
@@ -2561,22 +2440,12 @@ Status Fsd::DeleteVersion(std::string_view name, std::uint32_t version,
 Status Fsd::DeleteFile(std::string_view name) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.delete");
   obs::ScopedLatency op_latency(h_.del, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  Status result;
-  {
-    util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
-    result = BeginOp(&await_seq);
-    if (result.ok()) {
-      GateRelease gate{&gate_};
-      result = DeleteFileLocked(name);
-      if (result.ok()) {
-        shard_ops_[ShardOf(name)].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
+  util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  Status result = DeleteFileLocked(name);
+  if (result.ok()) {
+    shard_ops_[ShardOf(name)].fetch_add(1, std::memory_order_relaxed);
   }
   return result;
 }
@@ -2628,22 +2497,12 @@ Status Fsd::PruneVersions(std::string_view name, std::uint16_t keep) {
 Status Fsd::SetKeep(std::string_view name, std::uint16_t keep) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.setkeep");
   obs::ScopedLatency op_latency(h_.setkeep, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  Status result;
-  {
-    util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
-    result = BeginOp(&await_seq);
-    if (result.ok()) {
-      GateRelease gate{&gate_};
-      result = SetKeepLocked(name, keep);
-      if (result.ok()) {
-        shard_ops_[ShardOf(name)].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
+  util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  Status result = SetKeepLocked(name, keep);
+  if (result.ok()) {
+    shard_ops_[ShardOf(name)].fetch_add(1, std::memory_order_relaxed);
   }
   return result;
 }
@@ -2668,20 +2527,12 @@ Status Fsd::SetKeepLocked(std::string_view name, std::uint16_t keep) {
 Result<std::vector<fs::FileInfo>> Fsd::List(std::string_view prefix) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.list");
   obs::ScopedLatency op_latency(h_.list, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  auto result = [&]() -> Result<std::vector<fs::FileInfo>> {
-    // List touches every shard's namespace, but the tree scan runs under
-    // the tree's own shared lock, so no shard lock is needed — only gate
-    // admission (for a consistent deadline/space protocol).
-    CEDAR_RETURN_IF_ERROR(BeginOp(&await_seq));
-    GateRelease gate{&gate_};
-    return ListLocked(prefix);
-  }();
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
-  }
-  return result;
+  // List touches every shard's namespace, but the tree scan runs under
+  // the tree's own shared lock, so no shard lock is needed — only gate
+  // admission (for a consistent deadline/space protocol).
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  return ListLocked(prefix);
 }
 
 Result<std::vector<fs::FileInfo>> Fsd::ListLocked(std::string_view prefix) {
@@ -2718,22 +2569,12 @@ Result<std::vector<fs::FileInfo>> Fsd::ListLocked(std::string_view prefix) {
 Status Fsd::Touch(std::string_view name) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.touch");
   obs::ScopedLatency op_latency(h_.touch, &disk_->clock());
-  std::uint64_t await_seq = 0;
-  Status result;
-  {
-    util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
-    result = BeginOp(&await_seq);
-    if (result.ok()) {
-      GateRelease gate{&gate_};
-      result = TouchLocked(name);
-      if (result.ok()) {
-        shard_ops_[ShardOf(name)].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
+  util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  Status result = TouchLocked(name);
+  if (result.ok()) {
+    shard_ops_[ShardOf(name)].fetch_add(1, std::memory_order_relaxed);
   }
   return result;
 }
@@ -2957,34 +2798,24 @@ Result<fs::FileInfo> Fsd::Stat(std::string_view name) {
 
 Status Fsd::Rename(std::string_view from, std::string_view to) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.rename");
-  std::uint64_t await_seq = 0;
-  Status result;
-  {
-    // Cross-name op: lock both shards, ordered by index (equal rank is
-    // allowed only for this ordered pair; same shard takes one lock).
-    const std::size_t sf = ShardOf(from);
-    const std::size_t st = ShardOf(to);
-    std::optional<util::RankedLockGuard<std::mutex>> first;
-    std::optional<util::RankedLockGuard<std::mutex>> second;
-    first.emplace(name_mu_[std::min(sf, st)], util::LockRank::kNameShard);
-    if (sf != st) {
-      second.emplace(name_mu_[std::max(sf, st)], util::LockRank::kNameShard);
-    }
-    result = BeginOp(&await_seq);
-    if (result.ok()) {
-      GateRelease gate{&gate_};
-      result = RenameLocked(from, to);
-      if (result.ok()) {
-        shard_ops_[sf].fetch_add(1, std::memory_order_relaxed);
-        if (st != sf) {
-          shard_ops_[st].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
+  // Cross-name op: lock both shards, ordered by index (equal rank is
+  // allowed only for this ordered pair; same shard takes one lock).
+  const std::size_t sf = ShardOf(from);
+  const std::size_t st = ShardOf(to);
+  std::optional<util::RankedLockGuard<std::mutex>> first;
+  std::optional<util::RankedLockGuard<std::mutex>> second;
+  first.emplace(name_mu_[std::min(sf, st)], util::LockRank::kNameShard);
+  if (sf != st) {
+    second.emplace(name_mu_[std::max(sf, st)], util::LockRank::kNameShard);
   }
-  const Status durable = AwaitCommit(await_seq);
-  if (result.ok() && !durable.ok()) {
-    return durable;
+  CEDAR_RETURN_IF_ERROR(BeginOp());
+  GateRelease gate{&gate_};
+  Status result = RenameLocked(from, to);
+  if (result.ok()) {
+    shard_ops_[sf].fetch_add(1, std::memory_order_relaxed);
+    if (st != sf) {
+      shard_ops_[st].fetch_add(1, std::memory_order_relaxed);
+    }
   }
   return result;
 }

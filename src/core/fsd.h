@@ -86,13 +86,12 @@ struct FsdStats {
   // Soft read errors absorbed by the bounded retry path.
   std::uint64_t read_retries = 0;
 
-  // Group-commit daemon rendezvous (commit_daemon mode only; all zero when
-  // forces run inline). force_requests counts AwaitDurable calls that had
-  // to flag new work; piggybacked counts waits satisfied by a force already
-  // in flight — the paper's "one log write commits them all".
+  // Group-commit rendezvous (CommitQueue). force_requests counts callers
+  // elected to lead a force; piggybacked counts callers committed by a
+  // force another caller led — the paper's "one log write commits them
+  // all".
   std::uint64_t force_requests = 0;
   std::uint64_t piggybacked = 0;
-  std::uint64_t daemon_forces = 0;
 
   // Fine-grained concurrency telemetry (section 4f). Neither is part of
   // the determinism footprint: both depend on physical thread scheduling.
@@ -182,15 +181,16 @@ struct FsckReport {
 //      the VAM bitmaps + allocator, pending_mu_ for the tombstone/delta
 //      queues, open_mu_ for the open-file table.
 //
-// A log force (daemon round, inline deadline, Force(), space force) runs
+// A log force (Force(), the half-second deadline, a space force) runs
 // under force_mu_ and splits into two phases: a short CAPTURE with the gate
 // closed (copy dirty images, swap pending queues, take the delete shadow —
 // a consistent prefix of the update history), then the long APPEND with the
-// gate reopened, so mutators overlap the log write. Clients needing
-// durability block on the log's CommitQueue holding NO locks, so a force in
-// flight commits every waiter it covers with a single log write (group
-// commit, paper section 3.2). Fsck/Scrub/lifecycle ops quiesce: they hold
-// force_mu_ and close the gate for their whole run.
+// gate reopened, so mutators overlap the log write. Callers needing a force
+// meet on the log's CommitQueue: the first leads it (CommitStep) and the
+// rest wait for it holding no lock it takes, so one log write commits
+// every update it captured (group commit, paper section 3.2). There is no
+// commit thread. Fsck/Scrub/lifecycle ops quiesce: they hold force_mu_ and
+// close the gate for their whole run.
 class Fsd : public fs::FileSystem {
  public:
   explicit Fsd(sim::BlockDevice* disk, FsdConfig config = {});
@@ -304,8 +304,8 @@ class Fsd : public fs::FileSystem {
   // Shutdown/Fsck/Scrub get. Re-entrant per the ScopedQuiesce contract:
   // calling RunQuiesced from inside a quiesced section on the same thread
   // nests (the inner call runs under the existing quiesce; the gate reopens
-  // only when the outermost scope exits). The commit daemon (and the
-  // checkpoint step it runs) is blocked, not stopped, for the duration.
+  // only when the outermost scope exits). A force (and the checkpoint step
+  // after it) waits for the section to end.
   Status RunQuiesced(const std::function<Status()>& fn);
 
   // Name-shard geometry, exposed so benches and tests can construct
@@ -400,9 +400,9 @@ class Fsd : public fs::FileSystem {
     disk_->clock().AdvanceCpu(config_.cpu.per_data_sector * n);
   }
 
-  // Locked bodies of the public lifecycle entry points. Format/Mount/
-  // Shutdown wrappers stop the commit daemon first, then run these
-  // quiesced (FormatLocked ends by calling MountLocked).
+  // Locked bodies of the public lifecycle entry points. The Format/Mount/
+  // Shutdown wrappers run these quiesced (FormatLocked ends by calling
+  // MountLocked).
   Status FormatLocked();
   Status MountLocked();
   Status MountDegradedLocked();
@@ -440,19 +440,21 @@ class Fsd : public fs::FileSystem {
   Result<fs::FileInfo> StatLocked(std::string_view name);
   Result<ScrubReport> ScrubLocked();
 
-  // Commit daemon plumbing. StartDaemon spawns the flusher thread when
-  // config_.commit.daemon is set; StopDaemon stops the queue and joins —
-  // always called while NOT holding force_mu_ (the daemon takes it per
-  // round). Each round forces the log, publishes the outcome to the
-  // waiters and then, when config_.checkpoint.daemon is set, runs
-  // CheckpointStep, all under one hold of force_mu_.
-  void StartDaemon();
-  void StopDaemon();
-  void DaemonLoop();
-  // The continuous checkpoint (DESIGN.md section 4g), a step of the commit
-  // daemon's round: while the live log exceeds the window, pick a target
-  // and run one CheckpointBatch draining toward window/2. Caller holds
-  // force_mu_.
+  // The group-commit step, run by the caller CommitQueue::Join elected
+  // leader: under one hold of force_mu_ it forces the log, publishes the
+  // outcome (releasing the followers) and then, when
+  // config_.checkpoint.daemon is set, runs CheckpointStep.
+  Status CommitStep();
+  // Makes every update recorded so far durable: leads the force or follows
+  // the one in flight. With nothing new since the last durable force it is
+  // an empty force: it only restarts the deadline timer from `last` (a
+  // compare-exchange, so callers racing on one expired deadline count it
+  // once).
+  Status CommitRecorded(sim::Micros last);
+  // The continuous checkpoint (DESIGN.md section 4g), the step that
+  // follows every successful force: while the live log exceeds the window,
+  // pick a target and run one CheckpointBatch draining toward window/2.
+  // Caller holds force_mu_.
   void CheckpointStep();
   // Effective recovery-window bound in log sectors: the configured value,
   // or one log third when checkpoint.window_sectors == 0.
@@ -485,9 +487,6 @@ class Fsd : public fs::FileSystem {
   // dropped (deltas apply at op time), and the stamp makes the deltas in
   // the surviving records re-apply idempotently at recovery.
   Status SaveVamBase();
-  // Wrapper tail: blocks on the commit queue when a deadline force was
-  // deferred to the daemon (no-op for seq 0 / inline mode).
-  Status AwaitCommit(std::uint64_t seq);
   // Marks one durable-metadata mutation for the group-commit rendezvous.
   void BumpUpdateSeq() { log_->commit_queue().RecordUpdate(); }
   // Shard mutex for a file name (rank kNameShard; taken before everything
@@ -500,13 +499,13 @@ class Fsd : public fs::FileSystem {
   // then gate admission, forcing the log for space when the capture budget
   // is exhausted. On success the caller MUST call gate_.End() (wrappers use
   // a scope guard).
-  Status BeginOp(std::uint64_t* await_seq);
-  // Makes room when TryBegin fails: waits for the daemon's force when one
-  // will run, else forces inline under force_mu_.
+  Status BeginOp();
+  // Makes room when TryBegin fails: leads a force, or follows the one in
+  // flight, while pages are still pending capture.
   Status SpaceForce();
-  // Half-second timer: forces inline, or sets *await_seq so the wrapper
-  // blocks on the daemon's force after releasing its locks.
-  Status MaybeDeadlineForce(std::uint64_t* await_seq);
+  // Half-second timer: once it has expired, commits every recorded update
+  // before the op that noticed it runs.
+  Status MaybeDeadlineForce();
 
   // The group-commit force. Caller holds force_mu_. kCloseAndReopen closes
   // the gate for the capture phase and reopens it for the append phase;
@@ -703,10 +702,10 @@ class Fsd : public fs::FileSystem {
   //   name shard (10) -> force_mu_ (20) -> op gate (30) -> tree (40/45) ->
   //   alloc_mu_ (50) -> pending_mu_ (55) -> open_mu_ (58) -> cache (60) ->
   //   disk -> clock/tracer/metrics. The commit queue's mutex (90) is a
-  //   leaf waited on with nothing held.
+  //   leaf, waited on holding at most name shards.
   mutable std::array<std::mutex, kNameShardCount> name_mu_;
-  // Serializes log forces (daemon rounds, inline deadline/space forces,
-  // Force(), quiesced sections). Never held by an admitted op.
+  // Serializes log forces (CommitStep leaders, quiesced sections) and
+  // checkpoints. Never held by an admitted op.
   mutable std::mutex force_mu_;
   // Admission gate: bounds in-flight ops by log capture budget and drains
   // them for the capture phase of a force.
@@ -718,7 +717,6 @@ class Fsd : public fs::FileSystem {
   mutable std::mutex pending_mu_;
   // open_files_.
   mutable std::mutex open_mu_;
-  std::thread commit_daemon_;
 
   // ScopedQuiesce re-entrancy bookkeeping: the owning thread's id (set by
   // the outermost scope while force_mu_ is held, cleared on exit) and the

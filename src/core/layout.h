@@ -22,7 +22,7 @@ namespace cedar::core {
 //
 //   - top level: on-disk geometry knobs (these are parsed back out of the
 //     volume root at mount, so they must stay flat and stable)
-//   - commit:     group-commit policy (interval, daemon, group size)
+//   - commit:     group-commit policy (interval, group size)
 //   - checkpoint: continuous checkpoint policy (recovery window)
 //   - durability: read/write hardening and recovery ablations
 //   - cpu:        the virtual CPU cost model
@@ -48,13 +48,9 @@ struct FsdConfig {
     // Group commit: the log is forced when this much virtual time has
     // passed since the last force ("FSD forces its log twice a second").
     sim::Micros interval = 500 * sim::kMillisecond;
-    // Run group commit as a real background daemon thread: Force() and the
-    // half-second deadline enqueue on the log's CommitQueue and block until
-    // the daemon's log write covers them, so concurrent clients share one
-    // write (paper section 3.2). Off (the default) keeps the historical
-    // inline force — single-threaded tests, benches, and the crash harness
-    // are unchanged. Both modes issue identical disk traffic for the same
-    // serialized operation order.
+    // Ignored. Group commit has one path: the caller that needs a force
+    // leads it and concurrent callers wait for it (CommitQueue). The field
+    // stays only because the perfbench meta_hot workload still assigns it.
     bool daemon = false;
     // Records per atomic commit group. Forces larger than one record are
     // split into records tagged with group start/end flags; recovery
@@ -67,15 +63,13 @@ struct FsdConfig {
 
   // ---- Continuous checkpoint policy.
   struct Checkpoint {
-    // Run the continuous checkpoint as a step of the commit daemon: after
-    // each daemon force has released its waiters, the same thread writes
-    // home pages for the oldest log region in small elevator batches and
-    // advances the persisted checkpoint pointer, keeping the live log (the
-    // recovery window) bounded by `window_sectors` instead of letting it
-    // grow until third entry writes a whole third home synchronously. No
-    // thread of its own: the step runs at a point fixed by log state.
-    // Requires commit.daemon (the step rides the daemon's forces; inline
-    // forces rely on third entry, and Validate() rejects the combination).
+    // Run the continuous checkpoint as a step of every force: after a force
+    // has released its followers, its leader writes home pages for the
+    // oldest log region in small elevator batches and advances the
+    // persisted checkpoint pointer, keeping the live log (the recovery
+    // window) bounded by `window_sectors` instead of letting it grow until
+    // third entry writes a whole third home synchronously. No thread of its
+    // own: the step runs at a point fixed by log state.
     bool daemon = false;
     // Recovery-window bound in log sectors: the step starts checkpointing
     // when the live log exceeds this and drains it back to about half. 0

@@ -136,12 +136,6 @@ Status FsdConfig::Validate() const {
   // the group size that clamping actually yields.
   const std::uint32_t area = log_sectors - 4;
   const std::uint32_t third = area / 3;
-  if (checkpoint.daemon && !commit.daemon) {
-    return MakeError(ErrorCode::kInvalidArgument,
-                     "checkpoint.daemon requires commit.daemon (the "
-                     "checkpoint step runs on the commit daemon; inline "
-                     "forces rely on third entry)");
-  }
   if (checkpoint.window_sectors != 0) {
     // The live log can never be drained below the newest commit group, so
     // a window smaller than one (clamped) group is unsatisfiable; one
@@ -215,7 +209,7 @@ Status FsdLog::WritePointer() {
   ByteWriter w;
   w.U32(kPointerMagic);
   w.U32(oldest_pointer_);
-  w.U32(boot_count_);
+  w.U32(format_boot_);
   std::vector<std::uint8_t> ptr = Seal(std::move(w));
   // [pointer][blank][pointer copy] in one request: the duplicates are not
   // adjacent, so one torn write cannot destroy both.
@@ -226,7 +220,7 @@ Status FsdLog::WritePointer() {
   return disk_->Write(base_, buf);
 }
 
-Result<std::uint32_t> FsdLog::ReadPointer() {
+Result<std::uint32_t> FsdLog::ReadPointer(std::uint32_t* format_boot) {
   auto parse = [&](std::span<const std::uint8_t> sector,
                    std::uint32_t* offset) {
     ByteReader r(sector);
@@ -234,9 +228,12 @@ Result<std::uint32_t> FsdLog::ReadPointer() {
       return false;
     }
     *offset = r.U32();
-    r.U32();  // boot count (diagnostic only)
+    const std::uint32_t boot = r.U32();
     if (!r.ok() || !CheckSeal(sector, r.position())) {
       return false;
+    }
+    if (format_boot != nullptr) {
+      *format_boot = boot;
     }
     return *offset < record_area_sectors();
   };
@@ -261,6 +258,7 @@ Result<std::uint32_t> FsdLog::ReadPointer() {
 
 Status FsdLog::Format(std::uint32_t boot_count) {
   boot_count_ = boot_count;
+  format_boot_ = boot_count;
   next_lsn_ = 1;
   pos_ = 0;
   current_third_ = 0;
@@ -269,7 +267,9 @@ Status FsdLog::Format(std::uint32_t boot_count) {
   stats_ = LogStats{};
   CEDAR_RETURN_IF_ERROR(WritePointer());
   // Invalidate the first header position so recovery of a fresh log stops
-  // immediately even if the area holds stale records.
+  // immediately. The header copy two sectors later (and any record a fresh
+  // chain could run into) still holds stale records, but the pointer names
+  // this boot, and Recover rejects records stamped with an older one.
   std::vector<std::uint8_t> zero(512, 0);
   stats_.sectors_written += 1;
   return disk_->Write(AreaLba(0), zero);
@@ -402,7 +402,7 @@ Result<std::uint64_t> FsdLog::AppendGroup(std::span<const PageImage> pages,
   return first_lsn;
 }
 
-Status FsdLog::ValidatePointer() { return ReadPointer().status(); }
+Status FsdLog::ValidatePointer() { return ReadPointer(nullptr).status(); }
 
 std::uint32_t FsdLog::LiveSectors() const {
   if (live_.empty()) {
@@ -456,8 +456,11 @@ Status FsdLog::Recover(
         visit,
     std::uint32_t boot_count) {
   live_.clear();
-  CEDAR_ASSIGN_OR_RETURN(std::uint32_t pos, ReadPointer());
+  CEDAR_ASSIGN_OR_RETURN(std::uint32_t pos, ReadPointer(&format_boot_));
   oldest_pointer_ = pos;
+  // Records the log held before its last Format are stale: their boot
+  // precedes the one the pointer names.
+  auto current = [&](std::uint32_t boot) { return boot >= format_boot_; };
 
   bool have_lsn = false;
   std::uint64_t expected_lsn = 0;
@@ -508,14 +511,16 @@ Status FsdLog::Recover(
     // Parse the header, repairing from its copy two sectors later.
     ParsedHeader header;
     std::vector<std::uint8_t> sector;
-    bool header_ok =
-        read_sector(pos, &sector) && ParseHeaderSector(sector, &header);
+    bool header_ok = read_sector(pos, &sector) &&
+                     ParseHeaderSector(sector, &header) &&
+                     current(header.boot);
     if (!header_ok) {
       // Maybe it is a skip marker.
       std::uint64_t marker_lsn = 0;
       std::uint32_t marker_boot = 0;
       if (read_sector(pos, &sector) &&
-          ParseStamp(sector, kMarkerMagic, &marker_lsn, &marker_boot)) {
+          ParseStamp(sector, kMarkerMagic, &marker_lsn, &marker_boot) &&
+          current(marker_boot)) {
         if (have_lsn && marker_lsn != expected_lsn) {
           break;
         }
@@ -530,7 +535,7 @@ Status FsdLog::Recover(
       }
       // Try the header copy.
       if (pos + 2 < record_area_sectors() && read_sector(pos + 2, &sector) &&
-          ParseHeaderSector(sector, &header)) {
+          ParseHeaderSector(sector, &header) && current(header.boot)) {
         header_ok = true;
       }
     }

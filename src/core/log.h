@@ -4,8 +4,9 @@
 // physical page images of file-name-table pages and leader pages. Layout:
 //
 //   base+0   pointer page: offset of the first valid record in the oldest
-//            third (replicated at base+2 with a blank page between — the
-//            same data is never written to adjacent sectors)
+//            third and the boot that last formatted the log (replicated at
+//            base+2 with a blank page between — the same data is never
+//            written to adjacent sectors)
 //   base+1   blank
 //   base+2   pointer copy
 //   base+3   blank
@@ -35,6 +36,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -45,36 +47,40 @@ namespace cedar::core {
 
 inline constexpr sim::Lba kNoLba = 0xFFFFFFFFu;
 
-// Group-commit rendezvous between N client threads and the one commit
-// daemon (paper section 3.2: "if several processes are waiting, one log
-// write commits them all").
+// Group-commit rendezvous (paper section 3.2: "if several processes are
+// waiting, one log write commits them all"). There is no commit thread: the
+// op that needs a force runs it, as xv6's end_op does (SNIPPETS.md).
 //
 // Sequence discipline:
 //   - Every mutating FS operation calls RecordUpdate() after applying its
 //     change, obtaining a monotonically increasing update sequence number.
-//   - A client needing durability calls AwaitDurable(seq), which blocks —
-//     holding NO file-system locks — until some daemon force whose capture
-//     covers `seq` completes. If a force already in flight will cover it,
-//     the client merely waits (a *piggyback*: no new log write is asked
-//     for); otherwise the call flags work and wakes the daemon.
-//   - The daemon loops on AwaitWork(); for each round it takes the FS core
-//     lock, reads latest_update() (exact: mutators are blocked), calls
-//     BeginForce(seq) so later arrivals piggyback on this round, performs
-//     the log write, then Publish(seq, status) wakes every waiter with
-//     seq <= captured.
+//   - A caller needing every update up to `seq` durable calls Join(seq).
+//     When no force is in flight, Join elects the caller leader: it runs
+//     the force and Publish()es the sequence its capture covered. When one
+//     is in flight, the caller follows: it waits for that force and checks
+//     again. A follower whose update the force covered is committed by the
+//     leader's one log write (a *piggyback*); one whose update came after
+//     the capture leads or follows the next force.
+//   - A failed force does not advance the durable sequence: the followers
+//     it covered get the leader's error, and the next Join leads a retry.
 //
 // The queue's mutex is a leaf: it is never held while acquiring any other
-// lock, and clients block on it with no FS locks held, so the daemon can
-// always make progress (DESIGN.md section 4e).
+// lock. Followers wait holding at most their name shard, which no force
+// needs (DESIGN.md section 4e).
 class CommitQueue {
  public:
   struct Stats {
-    std::uint64_t force_requests = 0;  // AwaitDurable calls that needed work
-    std::uint64_t piggybacked = 0;     // satisfied by an in-flight force
-    std::uint64_t daemon_forces = 0;   // forces the daemon performed
+    std::uint64_t force_requests = 0;  // Joins that elected a leader
+    std::uint64_t piggybacked = 0;     // Joins satisfied by another's force
   };
 
-  // Called by mutating operations (with the core lock held); returns the
+  // Join's `seq` for a caller that needs some force to finish after the
+  // call, whatever the update sequence says: a page can be pending capture
+  // before its op records its update (space forces).
+  static constexpr std::uint64_t kNextForce =
+      std::numeric_limits<std::uint64_t>::max();
+
+  // Called by mutating operations (inside the op gate); returns the
   // operation's update sequence number.
   std::uint64_t RecordUpdate() {
     return update_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -87,75 +93,52 @@ class CommitQueue {
     return durable_seq_;
   }
 
-  // Client side. Blocks until updates up to `seq` are durable; returns the
-  // status of the force that satisfied the wait (or kUnavailable if the
-  // queue is stopped first). MUST be called with no FS locks held.
-  Status AwaitDurable(std::uint64_t seq) {
+  // Returns true when the caller is elected leader: it MUST run the force
+  // and then Publish its outcome. Returns false when the caller needs no
+  // force of its own: updates up to `seq` are durable (*status is OK), or
+  // the force it waited for covered `seq` and failed (*status is that
+  // force's error). Any force finishing while the caller waits covers
+  // kNextForce. MUST be called holding no lock a force takes.
+  bool Join(std::uint64_t seq, Status* status) {
     std::unique_lock<std::mutex> lock(mu_);
-    if (durable_seq_ >= seq) return last_status_;
-    // A pending (not yet started) force also covers `seq`: the daemon reads
-    // latest_update() when it begins, and `seq` was recorded before now.
-    if (work_pending_ || (in_flight_ && requested_seq_ >= seq)) {
-      ++stats_.piggybacked;
-    } else {
-      ++stats_.force_requests;
-      work_pending_ = true;
-      work_cv_.notify_one();
+    bool waited = false;
+    for (;;) {
+      if (durable_seq_ >= seq) {
+        if (waited) {
+          ++stats_.piggybacked;
+        }
+        *status = OkStatus();
+        return false;
+      }
+      if (!in_flight_) {
+        in_flight_ = true;
+        ++stats_.force_requests;
+        return true;
+      }
+      const std::uint64_t round = rounds_;
+      done_cv_.wait(lock, [&] { return rounds_ != round; });
+      waited = true;
+      // A force that covered `seq` without making it durable failed.
+      if (durable_seq_ < seq && (seq == kNextForce || last_seq_ >= seq)) {
+        ++stats_.piggybacked;
+        *status = last_status_;
+        return false;
+      }
     }
-    done_cv_.wait(lock, [&] { return durable_seq_ >= seq || stopped_; });
-    if (durable_seq_ >= seq) return last_status_;
-    return MakeError(ErrorCode::kFailedPrecondition, "commit queue stopped");
   }
 
-  // Daemon side. Blocks until there is work or Stop(); false means stop.
-  bool AwaitWork() {
-    std::unique_lock<std::mutex> lock(mu_);
-    work_cv_.wait(lock, [&] { return work_pending_ || stopped_; });
-    if (stopped_) return false;
-    work_pending_ = false;
-    return true;
-  }
-
-  // Daemon side, called with the FS core lock held just before capturing:
-  // arrivals with seq <= `seq` now piggyback instead of flagging new work.
-  void BeginForce(std::uint64_t seq) {
-    std::lock_guard<std::mutex> lock(mu_);
-    in_flight_ = true;
-    requested_seq_ = seq;
-  }
-
-  // Daemon side: publishes the force outcome and wakes every waiter whose
-  // seq is covered.
+  // Leader side: publishes the force outcome and releases the followers.
+  // A successful force makes every update up to `captured_seq` durable.
   void Publish(std::uint64_t captured_seq, const Status& status) {
     std::lock_guard<std::mutex> lock(mu_);
     in_flight_ = false;
-    ++stats_.daemon_forces;
-    if (captured_seq > durable_seq_) durable_seq_ = captured_seq;
+    ++rounds_;
+    if (status.ok() && captured_seq > durable_seq_) {
+      durable_seq_ = captured_seq;
+    }
+    last_seq_ = captured_seq;
     last_status_ = status;
     done_cv_.notify_all();
-  }
-
-  // Wakes the daemon (AwaitWork returns false) and any stray waiters.
-  // Shutdown calls this before joining the daemon thread.
-  void Stop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-    work_cv_.notify_all();
-    done_cv_.notify_all();
-  }
-
-  // Re-arms the queue for a fresh daemon (Mount after Shutdown). Sequence
-  // numbers continue, matching the still-monotonic update counter.
-  void Restart() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = false;
-    work_pending_ = false;
-    in_flight_ = false;
-  }
-
-  bool stopped() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stopped_;
   }
 
   Stats stats() const {
@@ -167,14 +150,12 @@ class CommitQueue {
   std::atomic<std::uint64_t> update_seq_{0};
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // daemon waits here
-  std::condition_variable done_cv_;  // clients wait here
+  std::condition_variable done_cv_;  // followers wait here
   std::uint64_t durable_seq_ = 0;    // everything <= this is in the log
-  std::uint64_t requested_seq_ = 0;  // covered by the in-flight force
-  bool in_flight_ = false;
-  bool work_pending_ = false;
-  bool stopped_ = false;
-  Status last_status_ = OkStatus();
+  std::uint64_t rounds_ = 0;         // forces published so far
+  std::uint64_t last_seq_ = 0;       // sequence the last force captured
+  bool in_flight_ = false;           // a leader is forcing
+  Status last_status_ = OkStatus();  // outcome of the last force
   Stats stats_;
 };
 
@@ -229,7 +210,8 @@ class FsdLog {
 
   FsdLog(sim::BlockDevice* disk, sim::Lba base, std::uint32_t size_sectors);
 
-  // Initializes an empty log (pointer at offset 0).
+  // Initializes an empty log (pointer at offset 0, naming `boot_count` as
+  // the boot that formatted it).
   Status Format(std::uint32_t boot_count);
 
   // Appends one whole commit group: the images are chunked into records of
@@ -262,7 +244,8 @@ class FsdLog {
 
   // Replays the log after a crash: scans records from the oldest-third
   // pointer, repairs single-sector damage from the duplicate copies, stops
-  // at the first invalid/torn record, and calls `visit(lsn, pages)` for
+  // at the first invalid/torn record or the first one stamped with a boot
+  // older than the pointer's format boot, and calls `visit(lsn, pages)` for
   // each complete record in order. Afterwards the log is positioned to
   // continue appending (with `boot_count` stamped on new records).
   Status Recover(const std::function<Status(
@@ -334,7 +317,9 @@ class FsdLog {
   sim::Lba AreaLba(std::uint32_t offset) const { return base_ + 4 + offset; }
 
   Status WritePointer();
-  Result<std::uint32_t> ReadPointer();
+  // Reads the oldest-record offset, and (when non-null) the boot that last
+  // formatted the log into *format_boot.
+  Result<std::uint32_t> ReadPointer(std::uint32_t* format_boot);
   // Skip-marker + third-entry handling for an append of `len` sectors:
   // ensures [pos_, pos_+len) lies inside one third, invoking `enter_third`
   // and advancing the oldest pointer when a new third is entered.
@@ -354,7 +339,8 @@ class FsdLog {
   std::uint32_t size_sectors_;
 
   std::uint64_t next_lsn_ = 1;
-  std::uint32_t boot_count_ = 0;
+  std::uint32_t boot_count_ = 0;   // stamped on new records
+  std::uint32_t format_boot_ = 0;  // boot of the last Format (in the pointer)
   std::uint32_t pos_ = 0;  // next write offset within the record area
   int current_third_ = 0;
   std::uint32_t oldest_pointer_ = 0;

@@ -20,9 +20,9 @@
 //
 // Thread safety: the op-context stack is genuinely thread-local storage
 // (keyed by a per-tracer-incarnation id), so concurrent client threads each
-// carry their own attribution context — a request issued by the group-commit
-// daemon is tagged "fsd.log_force" even while client threads are inside
-// "fsd.create" — and pushing/popping context never takes a lock. The ring,
+// carry their own attribution context — a request issued by a group-commit
+// leader's force is tagged "fsd.log_force" even while other client threads
+// are inside "fsd.create" — and pushing/popping context never takes a lock. The ring,
 // the name table, and the aggregates are guarded by one internal mutex;
 // Record() is called with the disk's lock held, making the tracer a leaf in
 // the locking hierarchy (see DESIGN.md section 4e/4f). Moves and Reset()
@@ -158,8 +158,9 @@ class DiskTracer {
   // Same, keyed by the ROOT (outermost) context instead of the innermost.
   // This is how the workload replayer splits disk time per tenant: the
   // replayer's "wl.t<k>" root scope owns every request a driver thread
-  // issues, regardless of which internal "fsd.*" phase issued it. Daemon
-  // threads (group commit, checkpoint) have their own roots.
+  // issues, regardless of which internal "fsd.*" phase issued it — a
+  // group-commit force and its checkpoint step included, which bill the
+  // root of the op that led them.
   OpClassAggregate RootAggregateFor(std::string_view op_class) const;
   std::vector<std::pair<std::string, OpClassAggregate>> RootAggregates() const;
   // Per-spindle totals (array member index -> aggregate, sorted by index).

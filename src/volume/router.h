@@ -1,11 +1,11 @@
 // VolumeRouter: a sharded namespace over N independent FSD volumes.
 //
-// One FSD volume is bounded (2^31 sectors, one log, one commit daemon), and
+// One FSD volume is bounded (2^31 sectors, one log, one commit path), and
 // its 16-way name-shard parallel commit saturates once every shard is hot.
 // The router scales past that by hashing each file name's shard key (the
 // same 16-way hash FSD uses internally, core::Fsd::ShardOf) onto one of N
 // volumes. Each volume is a complete FSD rig — its own device (disk or
-// array), log, group-commit daemon (which also checkpoints), and virtual
+// array), log, group commit (whose forces also checkpoint), and virtual
 // clock — so volumes commit, checkpoint, and recover fully independently;
 // the router adds no shared lock on the operation path.
 //
@@ -61,7 +61,7 @@ class VolumeRouter : public fs::FileSystem {
   static constexpr std::size_t kMaxVolumes = 16;  // 4 uid bits
 
   // `volumes` are borrowed, fully mounted file systems (normally core::Fsd
-  // instances — each with its own device and daemons); the router adds the
+  // instances — each with its own device and log); the router adds the
   // namespace partition on top. Count must be in [1, kMaxVolumes].
   explicit VolumeRouter(std::vector<fs::FileSystem*> volumes,
                         RouterConfig config = {});

@@ -1,17 +1,17 @@
-// The continuous checkpoint (a step of the commit daemon) and the
+// The continuous checkpoint (a step that follows every force) and the
 // maintenance/config API around it.
 //
 // Contracts pinned here:
-//   - FsdConfig::Validate() rejects inconsistent combinations (checkpoint
-//     daemon without commit daemon, unsatisfiable recovery windows), and
-//     Format/Mount fail fast on them instead of misbehaving later.
-//   - With both daemons on, 8 mutator threads cannot grow the crash-replay
-//     exposure without bound: the checkpoint step advances the durable
+//   - FsdConfig::Validate() rejects inconsistent combinations
+//     (unsatisfiable recovery windows, degenerate sizes), and Format/Mount
+//     fail fast on them instead of misbehaving later.
+//   - With the checkpoint step on, 8 mutator threads cannot grow the
+//     crash-replay exposure without bound: the step advances the durable
 //     checkpoint pointer, and once the last Force() returns the live log is
 //     under the configured window.
-//   - The step runs right after each daemon force, before the next client
-//     can observe the log: a single client sees the window bounded after
-//     every Force(), with no waiting.
+//   - The step runs right after each force, before the next client can
+//     observe the log: a single client sees the window bounded after every
+//     Force(), with no waiting.
 //   - The step keeps running across Shutdown/Mount cycles.
 //   - ScopedQuiesce is re-entrant on one thread (RunQuiesced can nest, and
 //     quiesced entry points like Scrub/Fsck work inside it), and the gate
@@ -51,7 +51,6 @@ FsdConfig CkptConfig() {
   config.log_sectors = 400;
   config.nt_pages = 256;
   config.cache_frames = 1024;
-  config.commit.daemon = true;
   config.checkpoint.daemon = true;
   config.checkpoint.window_sectors = kWindowSectors;
   return config;
@@ -63,13 +62,6 @@ FsdConfig CkptConfig() {
 TEST(CkptConfigTest, ValidateAcceptsTheDefaultsAndTheCkptConfig) {
   EXPECT_TRUE(FsdConfig{}.Validate().ok());
   EXPECT_TRUE(CkptConfig().Validate().ok());
-}
-
-TEST(CkptConfigTest, ValidateRejectsCheckpointDaemonWithoutCommitDaemon) {
-  FsdConfig config = CkptConfig();
-  config.commit.daemon = false;
-  const Status status = config.Validate();
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(CkptConfigTest, ValidateRejectsUnsatisfiableWindows) {
@@ -100,7 +92,7 @@ TEST(CkptConfigTest, FormatAndMountFailFastOnInvalidConfig) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   FsdConfig config = CkptConfig();
-  config.commit.daemon = false;  // checkpoint daemon now dangling
+  config.checkpoint.window_sectors = 16;  // below one commit group
   Fsd fsd(&disk, config);
   EXPECT_EQ(fsd.Format().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(fsd.Mount().code(), ErrorCode::kInvalidArgument);
@@ -156,7 +148,7 @@ TEST_F(CkptTest, DaemonBoundsRecoveryWindowUnderMutators) {
   EXPECT_GT(stats.ckpt_advances, 0u) << "step never advanced the pointer";
   EXPECT_GT(stats.ckpt_batches, 0u);
 
-  // The step ran under force_mu_ right after the last daemon force, so the
+  // The step ran under force_mu_ right after the last force, so the
   // window read (which takes force_mu_) already sees the drained log — a
   // crash now replays a bounded region.
   auto window = fsd_.RecoveryWindow();
@@ -189,8 +181,8 @@ TEST_F(CkptTest, WindowIsBoundedWhenForceReturns) {
 TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
   for (int cycle = 0; cycle < 3; ++cycle) {
     // A clean Mount reformats the log, so each cycle must prove the step
-    // runs again after the daemon restarts: churn until the advance counter
-    // moves again.
+    // runs again after the remount: churn until the advance counter moves
+    // again.
     const std::uint64_t advances_before = fsd_.stats().ckpt_advances;
     for (int i = 0; i < 500 && fsd_.stats().ckpt_advances == advances_before;
          ++i) {
@@ -204,7 +196,7 @@ TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
         << "no checkpoint advance after mount cycle " << cycle;
     ASSERT_TRUE(fsd_.Shutdown().ok());
     // Unmounted: the maintenance surface reports the precondition failure
-    // instead of touching stopped machinery.
+    // instead of touching an unmounted log.
     EXPECT_EQ(fsd_.RecoveryWindow().status().code(),
               ErrorCode::kFailedPrecondition);
     EXPECT_EQ(fsd_.Checkpoint().code(), ErrorCode::kFailedPrecondition);

@@ -1,5 +1,6 @@
 // Multi-client FSD: N threads hammer one file system through the public
-// API while the group-commit daemon forces the log in the background.
+// API and meet on group commit: the caller that needs a force leads it and
+// the callers that arrive while it is in flight follow it.
 //
 // These tests carry the "concurrency" ctest label and are the workload the
 // tsan CMake preset runs (ctest --preset tsan): every cross-thread access
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -35,18 +37,17 @@ std::vector<std::uint8_t> Bytes(std::size_t n, std::uint8_t seed) {
   return out;
 }
 
-FsdConfig DaemonConfig() {
+FsdConfig SmallConfig() {
   FsdConfig config;
   config.log_sectors = 400;
   config.nt_pages = 256;
   config.cache_frames = 1024;
-  config.commit.daemon = true;
   return config;
 }
 
 class ConcurrencyTest : public ::testing::Test {
  protected:
-  explicit ConcurrencyTest(FsdConfig config = DaemonConfig())
+  explicit ConcurrencyTest(FsdConfig config = SmallConfig())
       : disk_(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_),
         fsd_(&disk_, config) {
     CEDAR_CHECK_OK(fsd_.Format());
@@ -154,8 +155,8 @@ TEST_F(ConcurrencyTest, MixedStressStaysConsistent) {
 TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   // The paper's group-commit claim: when several clients wait for a force,
   // one log write commits them all. All threads mutate, meet at a barrier,
-  // then force together — the daemon should satisfy the batch with far
-  // fewer log writes than there were Force() calls.
+  // then force together — one leader's force should satisfy the batch,
+  // with far fewer log writes than there were Force() calls.
   //
   // Whether a given Force() is counted as piggybacked depends on whether
   // it arrives before or after the group's (virtually instant) log write
@@ -204,10 +205,9 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   const std::uint64_t force_calls =
       static_cast<std::uint64_t>(kThreads) * rounds;
   EXPECT_GT(stats.piggybacked, 0u);
-  // Every round produced kThreads Force() calls but the daemon needed at
-  // most a couple of log writes for them (one force covers the whole
-  // barrier generation; a straggler may trigger one more).
-  EXPECT_LT(stats.daemon_forces, force_calls / 2);
+  // Every round produced kThreads Force() calls but needed one log write
+  // for them: the leader's force covers the whole barrier generation.
+  EXPECT_LT(stats.forces, force_calls / 2);
   // A Force() arriving after the group's write already published returns
   // without touching either counter, so <= rather than ==.
   EXPECT_LE(stats.force_requests + stats.piggybacked, force_calls);
@@ -215,18 +215,122 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   ExpectClean();
 }
 
+TEST_F(ConcurrencyTest, EveryBarrierRoundCostsExactlyOneForce) {
+  // Every round, all clients have an update outstanding before any of them
+  // forces, so the first Force() leads one force that captures them all
+  // and every other Force() follows it or finds its update already
+  // durable. No schedule may add a second force to a round.
+  constexpr int kRounds = 300;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(
+        fsd_.CreateFile("round.t" + std::to_string(t), Bytes(64, 6)).ok());
+  }
+  ASSERT_TRUE(fsd_.Force().ok());
+  const std::uint64_t forces_before = fsd_.stats().forces;
+  Barrier barrier(kThreads);
+  std::atomic<int> failures{0};
+  auto worker = [&](int tid) {
+    const std::string name = "round.t" + std::to_string(tid);
+    for (int r = 0; r < kRounds; ++r) {
+      if (!fsd_.Touch(name).ok()) {
+        ++failures;
+      }
+      barrier.Arrive();  // every client has an update outstanding
+      if (!fsd_.Force().ok()) {
+        ++failures;
+      }
+      barrier.Arrive();  // round boundary
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(worker, t);
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(fsd_.stats().forces - forces_before,
+            static_cast<std::uint64_t>(kRounds));
+  ExpectClean();
+}
+
+TEST_F(ConcurrencyTest, FailedGroupForceFailsFollowersAndIsRetried) {
+  // A log write fails during a group force: the leader publishes its error
+  // to every follower the force covered, the durable sequence stays put,
+  // and the next Force() leads a retry instead of trusting the failed one.
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(
+        fsd_.CreateFile("fail.t" + std::to_string(t), Bytes(64, 7)).ok());
+  }
+  ASSERT_TRUE(fsd_.Force().ok());
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(fsd_.Touch("fail.t" + std::to_string(t)).ok());
+  }
+  const sim::Lba log_begin = fsd_.layout().log_base;
+  const sim::Lba log_end = log_begin + fsd_.config().log_sectors;
+  for (sim::Lba lba = log_begin; lba < log_end; ++lba) {
+    disk_.InjectPersistentFault(lba, sim::FaultMode::kWriteFail);
+  }
+  const FsdStats before = fsd_.stats();
+
+  // The quiesced section holds force_mu_, so the first Force() is elected
+  // leader and blocks there while the others join as its followers.
+  std::atomic<int> arrived{0};
+  std::vector<Status> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  const Status quiesced = fsd_.RunQuiesced([&] {
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ++arrived;
+        results[t] = fsd_.Force();
+      });
+    }
+    while (arrived.load() < kThreads) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return OkStatus();
+  });
+  ASSERT_TRUE(quiesced.ok()) << quiesced;
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (const Status& result : results) {
+    EXPECT_EQ(result.code(), ErrorCode::kSectorDamaged) << result;
+    EXPECT_EQ(result.message(), results[0].message());
+  }
+  const FsdStats after = fsd_.stats();
+  // Each Force() led a force or followed one; none found its update
+  // durable, and none of the attempts reached the log.
+  EXPECT_EQ((after.force_requests - before.force_requests) +
+                (after.piggybacked - before.piggybacked),
+            static_cast<std::uint64_t>(kThreads));
+  EXPECT_GE(after.piggybacked - before.piggybacked, 1u);
+  EXPECT_EQ(after.forces, before.forces);
+  EXPECT_TRUE(fsd_.HasPendingUpdates());
+
+  for (sim::Lba lba = log_begin; lba < log_end; ++lba) {
+    disk_.ClearPersistentFault(lba);
+  }
+  ASSERT_TRUE(fsd_.Force().ok());
+  EXPECT_EQ(fsd_.stats().forces, after.forces + 1);
+  EXPECT_FALSE(fsd_.HasPendingUpdates());
+  ExpectClean();
+}
+
 TEST_F(ConcurrencyTest, DaemonHandlesDeadlineForces) {
-  // The half-second deadline in daemon mode: the op that notices the
-  // expired timer hands the force to the daemon and blocks until it is
-  // durable, so the pending set drains without any explicit Force().
+  // The half-second deadline: the op that notices the expired timer forces
+  // the log (or follows a force in flight) before it runs, so the pending
+  // set drains without any explicit Force().
   ASSERT_TRUE(fsd_.CreateFile("deadline.test", Bytes(64, 2)).ok());
   EXPECT_TRUE(fsd_.HasPendingUpdates());
   clock_.Advance(600 * sim::kMillisecond);
   ASSERT_TRUE(fsd_.Tick().ok());
   EXPECT_FALSE(fsd_.HasPendingUpdates());
-  const FsdStats stats = fsd_.stats();
-  EXPECT_GE(stats.daemon_forces, 1u);
-  EXPECT_GE(stats.forces, 1u);
+  EXPECT_GE(fsd_.stats().forces, 1u);
 
   // And via an ordinary operation rather than Tick().
   ASSERT_TRUE(fsd_.Touch("deadline.test").ok());
@@ -292,7 +396,7 @@ TEST_F(ConcurrencyTest, ShutdownMountCycleRestartsDaemon) {
     ASSERT_TRUE(fsd_.Shutdown().ok());
     ASSERT_TRUE(fsd_.Mount().ok());
   }
-  // Daemon still live after the cycles: Force() must complete.
+  // Group commit still works after the cycles: Force() must complete.
   ASSERT_TRUE(fsd_.CreateFile("cycle.final", Bytes(64, 5)).ok());
   ASSERT_TRUE(fsd_.Force().ok());
   auto listing = fsd_.List("cycle.");
@@ -490,7 +594,7 @@ void PinnedOp(Fsd& fsd, int i) {
 WorkloadFootprint RunPinnedWorkload(int threads, int total_ops) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  Fsd fsd(&disk, DaemonConfig());
+  Fsd fsd(&disk, SmallConfig());
   CEDAR_CHECK_OK(fsd.Format());
   disk.ResetStats();
 

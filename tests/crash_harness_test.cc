@@ -405,15 +405,14 @@ TEST(ForceGroupAtomicityTest, IntactGroupReplaysEveryPage) {
 
 // ---------------------------------------------------------------------------
 // Crash during PARALLEL commit: several client threads create and force
-// concurrently (per-shard locks, commit daemon, two-phase force) when the
+// concurrently (per-shard locks, group commit, two-phase force) when the
 // disk dies at an arbitrary write. Recovery must be exactly as strong as in
 // the serial world: every create whose Force() was acknowledged before the
 // crash is present and intact afterwards, and fsck finds no violations —
 // regardless of which thread's write the cut landed on.
 
 TEST(ParallelCommitCrashTest, AcknowledgedCreatesSurviveCrash) {
-  FsdConfig config = SmallConfig();
-  config.commit.daemon = true;
+  const FsdConfig config = SmallConfig();
   constexpr int kWorkers = 4;
   constexpr int kRoundsPerWorker = 12;
 

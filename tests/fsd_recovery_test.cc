@@ -165,6 +165,27 @@ TEST_F(FsdRecoveryTest, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   EXPECT_TRUE(after.CheckNameTableInvariants().ok());
 }
 
+TEST_F(FsdRecoveryTest, CrashAfterCleanMountReplaysNothingFromTheOldBoot) {
+  // A clean Mount starts the log afresh but rewrites only its pointer and
+  // first header sector: the previous boot's records, the header copy two
+  // sectors in among them, stay on disk. A crash before the new boot logs
+  // anything must replay none of them.
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(
+        fsd_->CreateFile("b/f" + std::to_string(i), Bytes(100, 2)).ok());
+  }
+  ASSERT_TRUE(fsd_->Shutdown().ok());
+  ASSERT_TRUE(fsd_->Mount().ok());
+  Fsd& after = CrashAndRemount();
+  EXPECT_EQ(after.stats().recovery_pages_replayed, 0u);
+  auto list = after.List("b/");
+  ASSERT_TRUE(list.ok());
+  EXPECT_EQ(list->size(), 300u);
+  auto report = after.Fsck();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->violations(), 0u) << report->Summary();
+}
+
 TEST_F(FsdRecoveryTest, DeletedLeaderTombstoneProtectsReallocatedSector) {
   // Create F, force (leader image enters the log via... the leader was
   // piggybacked, so use a zero-length create whose leader IS logged).

@@ -154,11 +154,10 @@ TEST(ZipfSamplerTest, SampleFrequenciesMatchThePmf) {
 
 namespace engine {
 
-core::FsdConfig SmallConfig(bool commit_daemon) {
+core::FsdConfig SmallConfig() {
   core::FsdConfig config;
   config.log_sectors = 400;
   config.nt_pages = 256;
-  config.commit.daemon = commit_daemon;
   return config;
 }
 
@@ -168,7 +167,7 @@ core::FsdConfig SmallConfig(bool commit_daemon) {
 std::vector<TraceEntry> RecordSmallWorkload(std::uint64_t seed) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  core::Fsd fsd(&disk, SmallConfig(false));
+  core::Fsd fsd(&disk, SmallConfig());
   CEDAR_CHECK_OK(fsd.Format());
   RecordingFs rec(&fsd, &clock);
   Rng rng(seed);
@@ -228,8 +227,7 @@ Footprint ReplayFootprint(const std::vector<TraceEntry>& trace,
                           const ReplayConfig& config) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  core::Fsd fsd(&disk,
-                SmallConfig(config.mode == ReplayMode::kFreeRun));
+  core::Fsd fsd(&disk, SmallConfig());
   CEDAR_CHECK_OK(fsd.Format());
   disk.ResetStats();
   auto result = ReplayTraceMulti(&fsd, trace, config,
@@ -291,7 +289,7 @@ TEST(RecordReplayTest, OpenLoopPacingAdvancesTheClock) {
   ASSERT_GT(trace.back().vtime_us, trace.front().vtime_us);
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  core::Fsd fsd(&disk, engine::SmallConfig(false));
+  core::Fsd fsd(&disk, engine::SmallConfig());
   CEDAR_CHECK_OK(fsd.Format());
   ReplayConfig config;
   config.paced = true;
@@ -336,7 +334,7 @@ TEST(ReplayTenantTest, NamespacesStayIsolatedUnderConcurrentReplay) {
 
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  core::Fsd fsd(&disk, engine::SmallConfig(true));
+  core::Fsd fsd(&disk, engine::SmallConfig());
   CEDAR_CHECK_OK(fsd.Format());
   ReplayConfig config;
   config.threads = 8;

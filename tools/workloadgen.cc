@@ -154,11 +154,7 @@ struct ReplayOutcome {
 ReplayOutcome Replay(const std::vector<TraceEntry>& trace,
                      const ReplayConfig& config) {
   Rig rig;
-  FsdConfig fsd_config;
-  // Free-running threads rendezvous through the commit daemon; turnstile
-  // keeps the deterministic inline force.
-  fsd_config.commit.daemon = config.mode == ReplayMode::kFreeRun;
-  Fsd fsd(&rig.disk, fsd_config);
+  Fsd fsd(&rig.disk, FsdConfig{});
   CEDAR_CHECK_OK(fsd.Format());
   rig.disk.ResetStats();
   auto result = cedar::workload::ReplayTraceMulti(
