@@ -15,7 +15,9 @@
 #include <functional>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/check.h"
@@ -159,6 +161,16 @@ inline std::uint64_t CountedIos(sim::SimDisk& disk,
   const std::uint64_t before = disk.stats().TotalIos();
   body();
   return disk.stats().TotalIos() - before;
+}
+
+// The value of the counter registered as `name`. An unregistered name
+// aborts instead of reading as 0, so a renamed counter cannot zero a
+// reported figure unnoticed.
+inline std::uint64_t CounterValue(const obs::MetricsRegistry& metrics,
+                                  std::string_view name) {
+  const obs::Counter* counter = metrics.FindCounter(name);
+  CEDAR_CHECK(counter != nullptr);
+  return counter->value();
 }
 
 inline void PrintHeader(const std::string& title) {

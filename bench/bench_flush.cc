@@ -87,14 +87,16 @@ FlushResult Run(bool batched) {
 
   FlushResult result;
   result.third_entries = fsd.log_stats().third_entries;
-  result.third_flush_pages = fsd.stats().ckpt_pages;
+  result.third_flush_pages = CounterValue(fsd.Metrics(), "fsd.ckpt_pages");
   const cedar::obs::OpClassAggregate third = tracer.AggregateFor("fsd.ckpt");
   result.third_seek_us = third.seek_us;
   result.third_rot_us = third.rotational_us;
   result.third_busy_us = third.TotalUs();
-  result.home_batches = fsd.stats().home_write_batches;
-  result.home_requests = fsd.stats().home_write_requests;
-  result.home_coalesced = fsd.stats().home_writes_coalesced;
+  result.home_batches = CounterValue(fsd.Metrics(), "fsd.home_write_batches");
+  result.home_requests =
+      CounterValue(fsd.Metrics(), "fsd.home_write_requests");
+  result.home_coalesced =
+      CounterValue(fsd.Metrics(), "fsd.home_writes_coalesced");
 
   const cedar::sim::DiskStats before = rig.disk.stats();
   CEDAR_CHECK_OK(fsd.Shutdown());

@@ -137,7 +137,10 @@ CurvePoint RunConcurrent(int threads, int rounds) {
                        .status());
   }
   CEDAR_CHECK_OK(fsd.Force());
-  const cedar::core::FsdStats before = fsd.stats();
+  const obs::MetricsRegistry& metrics = fsd.Metrics();
+  const std::uint64_t forces0 = CounterValue(metrics, "fsd.forces");
+  const std::uint64_t requests0 = CounterValue(metrics, "fsd.force_requests");
+  const std::uint64_t piggybacked0 = CounterValue(metrics, "fsd.piggybacked");
 
   RoundBarrier barrier(threads);
   std::vector<std::thread> workers;
@@ -157,13 +160,13 @@ CurvePoint RunConcurrent(int threads, int rounds) {
     w.join();
   }
 
-  const cedar::core::FsdStats after = fsd.stats();
   CurvePoint point;
   point.threads = threads;
   point.updates = static_cast<std::uint64_t>(threads) * rounds;
-  point.forces = after.forces - before.forces;
-  point.force_requests = after.force_requests - before.force_requests;
-  point.piggybacked = after.piggybacked - before.piggybacked;
+  point.forces = CounterValue(metrics, "fsd.forces") - forces0;
+  point.force_requests =
+      CounterValue(metrics, "fsd.force_requests") - requests0;
+  point.piggybacked = CounterValue(metrics, "fsd.piggybacked") - piggybacked0;
   point.forces_per_update =
       static_cast<double>(point.forces) / static_cast<double>(point.updates);
   CEDAR_CHECK_OK(fsd.Shutdown());
@@ -218,7 +221,7 @@ SatPoint RunSaturation(int threads, int rounds) {
   }
   CEDAR_CHECK_OK(fsd.Force());
 
-  const cedar::core::FsdStats before = fsd.stats();
+  const std::uint64_t forces0 = CounterValue(fsd.Metrics(), "fsd.forces");
   const cedar::sim::Micros virt0 = rig.clock.now();
   const cedar::sim::Micros cpu0 = rig.clock.cpu_time();
   const auto wall0 = std::chrono::steady_clock::now();
@@ -241,11 +244,10 @@ SatPoint RunSaturation(int threads, int rounds) {
   }
 
   const auto wall1 = std::chrono::steady_clock::now();
-  const cedar::core::FsdStats after = fsd.stats();
   SatPoint point;
   point.threads = threads;
   point.updates = static_cast<std::uint64_t>(threads) * rounds;
-  point.forces = after.forces - before.forces;
+  point.forces = CounterValue(fsd.Metrics(), "fsd.forces") - forces0;
   point.forces_per_update =
       static_cast<double>(point.forces) / static_cast<double>(point.updates);
   point.virtual_us = rig.clock.now() - virt0;

@@ -192,7 +192,7 @@ VolumePoint RunVolumeSweep(const ScaleoutShape& shape,
   point.ops = shape.ops;
   point.elapsed = rig.MaxElapsed();
   for (std::uint32_t v = 0; v < volumes; ++v) {
-    point.forces += rig.fsd(v).stats().forces;
+    point.forces += CounterValue(rig.fsd(v).Metrics(), "fsd.forces");
     point.busiest_share =
         std::max(point.busiest_share, static_cast<double>(per_volume_ops[v]) /
                                           static_cast<double>(shape.ops));
@@ -389,12 +389,13 @@ int main(int argc, char** argv) {
   CheckFlags(argc, argv,
              {{"--smoke"}, {"--json", /*takes_value=*/true}});
   const bool smoke = SmokeMode(argc, argv);
-  const char* json_path =
-      StringFlag(argc, argv, "--json", "BENCH_scaleout.json");
+  const char* json_path = StringFlag(argc, argv, "--json");
 
   std::printf("Scale-out: volumes x spindles\n\n");
   const ScaleoutShape shape = smoke ? SmokeShape() : ScaleoutShape{};
   BenchReport report = RunScaleoutBench(shape, smoke);
-  CEDAR_CHECK_OK(report.WriteFile(json_path));
+  if (json_path != nullptr) {
+    CEDAR_CHECK_OK(report.WriteFile(json_path));
+  }
   return 0;
 }

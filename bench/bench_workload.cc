@@ -195,7 +195,7 @@ ReplayPoint RunReplay(const std::vector<cedar::workload::TraceEntry>& trace,
   point.ops = result.value().totals.ops;
   point.not_found = result.value().totals.not_found;
   point.per_tenant = result.value().per_tenant;
-  point.forces = fsd.stats().forces;
+  point.forces = CounterValue(fsd.Metrics(), "fsd.forces");
   point.virtual_us = rig.clock.now() - v0;
   point.disk = rig.disk.stats();
   point.metrics = fsd.Metrics().Snapshot();
@@ -395,13 +395,14 @@ int main(int argc, char** argv) {
   const bool smoke = SmokeMode(argc, argv);
   const double cpu_scale =
       std::atof(StringFlag(argc, argv, "--cpu-scale", "1.0"));
-  const char* json_path =
-      StringFlag(argc, argv, "--json", "BENCH_workload.json");
+  const char* json_path = StringFlag(argc, argv, "--json");
   const char* trace_out = StringFlag(argc, argv, "--trace-out");
 
   std::printf("Trace-driven workload replay (3 tenants, Zipf)\n\n");
   const WorkloadShape shape = smoke ? SmokeShape() : WorkloadShape{};
   BenchReport report = RunWorkloadBench(shape, cpu_scale, smoke, trace_out);
-  CEDAR_CHECK_OK(report.WriteFile(json_path));
+  if (json_path != nullptr) {
+    CEDAR_CHECK_OK(report.WriteFile(json_path));
+  }
   return 0;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -52,10 +53,13 @@ int main() {
   fsd = std::make_unique<core::Fsd>(&disk, core::FsdConfig{});
   const sim::Micros t0 = clock.now();
   CEDAR_CHECK_OK(fsd->Mount());
+  const obs::Counter* replayed =
+      fsd->Metrics().FindCounter("fsd.recovery_pages_replayed");
+  CEDAR_CHECK(replayed != nullptr);
   std::printf("recovery mount took %.2f virtual seconds "
               "(%llu log pages replayed)\n",
               static_cast<double>(clock.now() - t0) / 1e6,
-              (unsigned long long)fsd->stats().recovery_pages_replayed);
+              (unsigned long long)replayed->value());
 
   auto safe = fsd->List("safe/");
   CEDAR_CHECK_OK(safe.status());

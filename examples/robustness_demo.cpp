@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -42,8 +43,10 @@ int main() {
   disk.DamageSectors(fsd->layout().nta_base + 2, 2);
   auto list = fsd->List("lib/");
   CEDAR_CHECK_OK(list.status());
+  const obs::Counter* nt_repairs = fsd->Metrics().FindCounter("fsd.nt_repairs");
+  CEDAR_CHECK(nt_repairs != nullptr);
   std::printf("    list still sees %zu files; %llu replica repairs issued\n",
-              list->size(), (unsigned long long)fsd->stats().nt_repairs);
+              list->size(), (unsigned long long)nt_repairs->value());
 
   Headline(2, "medium error inside a log record");
   CEDAR_CHECK_OK(fsd->Touch("lib/m1"));
@@ -53,8 +56,11 @@ int main() {
   disk.Reopen();
   fsd = std::make_unique<core::Fsd>(&disk, core::FsdConfig{});
   CEDAR_CHECK_OK(fsd->Mount());
+  const obs::Counter* replayed =
+      fsd->Metrics().FindCounter("fsd.recovery_pages_replayed");
+  CEDAR_CHECK(replayed != nullptr);
   std::printf("    recovery replayed %llu pages despite the damage\n",
-              (unsigned long long)fsd->stats().recovery_pages_replayed);
+              (unsigned long long)replayed->value());
 
   Headline(3, "wild write (memory smash) over a leader page");
   CEDAR_CHECK_OK(

@@ -345,6 +345,8 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
   c_.home_writes_coalesced = metrics_.GetCounter("fsd.home_writes_coalesced");
   c_.read_retries = metrics_.GetCounter("fsd.read_retries");
   c_.space_forces = metrics_.GetCounter("fsd.space_forces");
+  c_.force_requests = metrics_.GetCounter("fsd.force_requests");
+  c_.piggybacked = metrics_.GetCounter("fsd.piggybacked");
   c_.ckpt_batches = metrics_.GetCounter("fsd.ckpt_batches");
   c_.ckpt_pages = metrics_.GetCounter("fsd.ckpt_pages");
   c_.ckpt_advances = metrics_.GetCounter("fsd.ckpt_advances");
@@ -369,35 +371,8 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
 }
 
 FsdStats Fsd::stats() const {
-  FsdStats s;
-  s.forces = c_.forces->value();
-  s.empty_forces = c_.empty_forces->value();
-  s.pages_captured = c_.pages_captured->value();
-  s.piggyback_leader_writes = c_.piggyback_leader_writes->value();
-  s.piggyback_leader_verifies = c_.piggyback_leader_verifies->value();
-  s.nt_repairs = c_.nt_repairs->value();
-  s.recovery_pages_replayed = c_.recovery_pages_replayed->value();
-  s.fast_recoveries = c_.fast_recoveries->value();
-  s.home_write_batches = c_.home_write_batches->value();
-  s.home_write_requests = c_.home_write_requests->value();
-  s.home_writes_coalesced = c_.home_writes_coalesced->value();
-  s.read_retries = c_.read_retries->value();
-  s.space_forces = c_.space_forces->value();
-  s.ckpt_batches = c_.ckpt_batches->value();
-  s.ckpt_pages = c_.ckpt_pages->value();
-  s.ckpt_advances = c_.ckpt_advances->value();
-  s.third_flush_fallbacks = c_.third_flush_fallbacks->value();
-  s.repairs = c_.repairs->value();
-  s.remaps = c_.remaps->value();
-  s.corruption_detected = c_.corruption_detected->value();
-  s.read_retry_exhausted = c_.read_retry_exhausted->value();
-  s.scrub_healed = c_.scrub_healed->value();
-  s.scrub_unrepairable = c_.scrub_unrepairable->value();
-  s.max_parallel_ops = gate_.max_outstanding();
-  const CommitQueue::Stats queue_stats = log_->commit_queue().stats();
-  s.force_requests = queue_stats.force_requests;
-  s.piggybacked = queue_stats.piggybacked;
-  return s;
+  return FsdStats{.recovery_pages_replayed =
+                      c_.recovery_pages_replayed->value()};
 }
 
 Status Fsd::ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
@@ -720,49 +695,11 @@ Status Fsd::MountLocked() {
 
   bool need_rebuild = false;
   if (!clean) {
-    // Crash recovery: replay the log. Later images supersede earlier ones
-    // and tombstones cancel queued leader writes, so collect first. VAM
-    // delta pages are kept with their record LSNs for the fast path below.
+    // Crash recovery: replay the log. VAM delta pages are kept with their
+    // record LSNs for the fast path below.
     std::map<sim::Lba, PageImage> replay;
     std::vector<std::pair<std::uint64_t, VamDelta>> deltas;
-    CEDAR_RETURN_IF_ERROR(log_->Recover(
-        [&](std::uint64_t lsn, const std::vector<PageImage>& pages) {
-          for (const PageImage& page : pages) {
-            switch (page.kind) {
-              case PageKind::kTombstone:
-                replay.erase(MapNt(page.primary));
-                break;
-              case PageKind::kVamDelta: {
-                std::vector<VamDelta> parsed;
-                CEDAR_RETURN_IF_ERROR(ParseDeltas(page.data, &parsed));
-                for (const VamDelta& delta : parsed) {
-                  deltas.emplace_back(lsn, delta);
-                }
-                break;
-              }
-              case PageKind::kPage: {
-                // Key the replay map on the remapped home so a record
-                // captured before a remap and one captured after collapse to
-                // the same page (LSN order keeps the newest). Known edge: a
-                // record carrying a spare LBA whose mapping later moved to a
-                // different spare is not renormalized.
-                PageImage mapped = page;
-                mapped.primary = MapNt(page.primary);
-                if (page.secondary != kNoLba) {
-                  mapped.secondary = MapNt(page.secondary);
-                  std::uint32_t seq = 0;
-                  if (NtStore::ParseTrailer(mapped.data, &seq)) {
-                    nt_store_->MergeSeq(seq);
-                  }
-                }
-                replay[mapped.primary] = std::move(mapped);
-                break;
-              }
-            }
-          }
-          return OkStatus();
-        },
-        boot_count_));
+    CEDAR_RETURN_IF_ERROR(CollectReplay(&replay, &deltas));
     // Write the surviving images home through the elevator scheduler
     // (name-table pages cluster, so this turns hundreds of rotational
     // misses into a few streaming writes). Primaries flush before replicas
@@ -827,6 +764,52 @@ Status Fsd::MountLocked() {
   return OkStatus();
 }
 
+Status Fsd::CollectReplay(
+    std::map<sim::Lba, PageImage>* replay,
+    std::vector<std::pair<std::uint64_t, VamDelta>>* deltas) {
+  return log_->Recover(
+      [&](std::uint64_t lsn, const std::vector<PageImage>& pages) {
+        for (const PageImage& page : pages) {
+          switch (page.kind) {
+            case PageKind::kTombstone:
+              replay->erase(MapNt(page.primary));
+              break;
+            case PageKind::kVamDelta: {
+              if (deltas == nullptr) {
+                break;
+              }
+              std::vector<VamDelta> parsed;
+              CEDAR_RETURN_IF_ERROR(ParseDeltas(page.data, &parsed));
+              for (const VamDelta& delta : parsed) {
+                deltas->emplace_back(lsn, delta);
+              }
+              break;
+            }
+            case PageKind::kPage: {
+              // Key the replay map on the remapped home so a record
+              // captured before a remap and one captured after collapse to
+              // the same page (LSN order keeps the newest). Known edge: a
+              // record carrying a spare LBA whose mapping later moved to a
+              // different spare is not renormalized.
+              PageImage mapped = page;
+              mapped.primary = MapNt(page.primary);
+              if (page.secondary != kNoLba) {
+                mapped.secondary = MapNt(page.secondary);
+                std::uint32_t seq = 0;
+                if (NtStore::ParseTrailer(mapped.data, &seq)) {
+                  nt_store_->MergeSeq(seq);
+                }
+              }
+              (*replay)[mapped.primary] = std::move(mapped);
+              break;
+            }
+          }
+        }
+        return OkStatus();
+      },
+      boot_count_);
+}
+
 Status Fsd::MountDegraded() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
   ScopedQuiesce quiesce(this);
@@ -866,29 +849,8 @@ Status Fsd::MountDegradedLocked() {
   // unreadable the mount continues with whatever the home copies hold.
   std::map<sim::Lba, PageImage> replay;
   if (!clean) {
-    const Status recovered = log_->Recover(
-        [&](std::uint64_t, const std::vector<PageImage>& pages) {
-          for (const PageImage& page : pages) {
-            switch (page.kind) {
-              case PageKind::kTombstone:
-                replay.erase(MapNt(page.primary));
-                break;
-              case PageKind::kVamDelta:
-                break;  // the VAM is not reconstructed in degraded mode
-              case PageKind::kPage: {
-                PageImage mapped = page;
-                mapped.primary = MapNt(page.primary);
-                if (page.secondary != kNoLba) {
-                  mapped.secondary = MapNt(page.secondary);
-                }
-                replay[mapped.primary] = std::move(mapped);
-                break;
-              }
-            }
-          }
-          return OkStatus();
-        },
-        boot_count_);
+    // The VAM is not reconstructed in degraded mode: no deltas.
+    const Status recovered = CollectReplay(&replay, /*deltas=*/nullptr);
     if (recovered.code() == ErrorCode::kDeviceCrashed) {
       return recovered;
     }
@@ -1495,7 +1457,7 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
     alloc_deltas.swap(pending_alloc_deltas_);
     free_deltas.swap(pending_free_deltas_);
   }
-  Bitmap shadow;
+  std::vector<fs::Extent> shadow;
   {
     util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
     shadow = vam_.TakeShadow();
@@ -1692,6 +1654,18 @@ Status Fsd::CommitStep() {
   return status;
 }
 
+bool Fsd::JoinCommit(std::uint64_t seq, Status* status) {
+  const CommitQueue::Role role = log_->commit_queue().Join(seq, status);
+  if (role == CommitQueue::Role::kLeader) {
+    c_.force_requests->Increment();
+    return true;
+  }
+  if (role == CommitQueue::Role::kFollowed) {
+    c_.piggybacked->Increment();
+  }
+  return false;
+}
+
 Status Fsd::CommitRecorded(sim::Micros last) {
   CommitQueue& queue = log_->commit_queue();
   const std::uint64_t latest = queue.latest_update();
@@ -1706,7 +1680,7 @@ Status Fsd::CommitRecorded(sim::Micros last) {
     return OkStatus();
   }
   Status status;
-  if (!queue.Join(latest, &status)) {
+  if (!JoinCommit(latest, &status)) {
     return status;
   }
   return CommitStep();
@@ -1729,10 +1703,9 @@ Status Fsd::SpaceForce() {
   // is still needed: a page can be pending before its op records its
   // update. A force that finishes while this caller follows may have made
   // room already, so check again after each.
-  CommitQueue& queue = log_->commit_queue();
   while (gate_.pending_capture_pages() > 0) {
     Status status;
-    if (queue.Join(CommitQueue::kNextForce, &status)) {
+    if (JoinCommit(CommitQueue::kNextForce, &status)) {
       return CommitStep();
     }
     CEDAR_RETURN_IF_ERROR(status);

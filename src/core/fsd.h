@@ -61,70 +61,13 @@
 
 namespace cedar::core {
 
-// A point-in-time view of FSD's counters, materialized from the metrics
-// registry (the registry is the source of truth; this struct survives as a
-// convenience for existing tests and benches). Disk time per phase now
-// comes from the disk tracer's op-class aggregates ("fsd.ckpt",
-// "fsd.log_force") instead of duplicated micros fields here.
+// Every FSD counter lives in the metrics registry (Fsd::Metrics(),
+// "fsd.<name>"). This struct survives only because perfbench reads
+// recovery_pages_replayed through Fsd::stats(); it goes, with
+// FsdConfig::Commit::daemon, once perfbench reads the
+// fsd.recovery_pages_replayed counter instead.
 struct FsdStats {
-  std::uint64_t forces = 0;            // group commits that wrote the log
-  std::uint64_t empty_forces = 0;      // timer fired with nothing dirty
-  std::uint64_t pages_captured = 0;    // page images handed to the log
-  std::uint64_t piggyback_leader_writes = 0;
-  std::uint64_t piggyback_leader_verifies = 0;
-  std::uint64_t nt_repairs = 0;        // replica repairs on read
   std::uint64_t recovery_pages_replayed = 0;
-  std::uint64_t fast_recoveries = 0;   // VAM-logging fast path taken
-
-  // Writeback scheduler: every home-flush path (checkpoint, shutdown,
-  // format, recovery replay, repairs) goes through elevator-ordered,
-  // coalesced batches; these prove the batching actually happened.
-  std::uint64_t home_write_batches = 0;     // non-empty scheduler flushes
-  std::uint64_t home_write_requests = 0;    // page writes queued
-  std::uint64_t home_writes_coalesced = 0;  // requests merged away
-
-  // Soft read errors absorbed by the bounded retry path.
-  std::uint64_t read_retries = 0;
-
-  // Group-commit rendezvous (CommitQueue). force_requests counts callers
-  // elected to lead a force; piggybacked counts callers committed by a
-  // force another caller led — the paper's "one log write commits them
-  // all".
-  std::uint64_t force_requests = 0;
-  std::uint64_t piggybacked = 0;
-
-  // Fine-grained concurrency telemetry (section 4f). Neither is part of
-  // the determinism footprint: both depend on physical thread scheduling.
-  // space_forces counts ops that had to force (or wait for) the log
-  // because the capture budget was exhausted; max_parallel_ops is the
-  // high-water mark of ops concurrently admitted through the op gate.
-  std::uint64_t space_forces = 0;
-  std::uint64_t max_parallel_ops = 0;
-
-  // Checkpointing (section 4g). ckpt_batches counts checkpoint-step and
-  // Checkpoint() batches, ckpt_pages the home pages written by every
-  // checkpoint (third entry included), and ckpt_advances the durable
-  // checkpoint-pointer moves. third_flush_fallbacks counts third entries
-  // that had pages to write: when the checkpoint step keeps up it stays at
-  // zero, because every third entry finds its pages already retired.
-  std::uint64_t ckpt_batches = 0;
-  std::uint64_t ckpt_pages = 0;
-  std::uint64_t ckpt_advances = 0;
-  std::uint64_t third_flush_fallbacks = 0;
-
-  // Media-fault handling (section 4h). repairs counts every successful
-  // repair from redundancy (name-table copy rewrites, leader rebuilds,
-  // volume-root copy restores); remaps counts name-table home sectors
-  // durably remapped to spares; corruption_detected counts content-CRC
-  // mismatches caught on otherwise-successful reads; read_retry_exhausted
-  // counts reads whose bounded soft-error retry gave up.
-  std::uint64_t repairs = 0;
-  std::uint64_t remaps = 0;
-  std::uint64_t corruption_detected = 0;
-  std::uint64_t read_retry_exhausted = 0;
-  // Scrub repair-pass outcomes (mirrors the last ScrubReport, cumulatively).
-  std::uint64_t scrub_healed = 0;
-  std::uint64_t scrub_unrepairable = 0;
 };
 
 // One finding from Fsd::Fsck(). Warnings are conditions the system repairs
@@ -322,7 +265,7 @@ class Fsd : public fs::FileSystem {
 
   const FsdLayout& layout() const { return layout_; }
   const FsdConfig& config() const { return config_; }
-  FsdStats stats() const;  // registry-backed view
+  FsdStats stats() const;  // perfbench only; see FsdStats
   const LogStats& log_stats() const;
   std::uint32_t FreeSectors() const;
   std::uint32_t ShadowSectors() const;
@@ -407,6 +350,13 @@ class Fsd : public fs::FileSystem {
   Status MountLocked();
   Status MountDegradedLocked();
   Status ShutdownLocked();
+  // Reads the committed log records (FsdLog::Recover, stamping boot_count_)
+  // into the page images recovery replays, keyed on their remapped primary
+  // home: later images supersede earlier ones and tombstones cancel queued
+  // leader writes. VAM delta pages go to `deltas` with their record LSNs,
+  // or are skipped when it is null. Writes nothing to the disk.
+  Status CollectReplay(std::map<sim::Lba, PageImage>* replay,
+                       std::vector<std::pair<std::uint64_t, VamDelta>>* deltas);
 
   // kFailedPrecondition unless mounted read-write; every mutating locked
   // body calls this first (degraded mounts are read-only).
@@ -451,6 +401,11 @@ class Fsd : public fs::FileSystem {
   // compare-exchange, so callers racing on one expired deadline count it
   // once).
   Status CommitRecorded(sim::Micros last);
+  // CommitQueue::Join plus the group-commit counters: fsd.force_requests
+  // counts the callers it elects leader, fsd.piggybacked those committed
+  // (or failed) by a force another caller led. Returns true when the caller
+  // leads and MUST run CommitStep.
+  bool JoinCommit(std::uint64_t seq, Status* status);
   // The continuous checkpoint (DESIGN.md section 4g), the step that
   // follows every successful force: while the live log exceeds the window,
   // pick a target and run one CheckpointBatch draining toward window/2.
@@ -727,28 +682,44 @@ class Fsd : public fs::FileSystem {
   // Completed name-keyed ops per shard (relaxed; test/bench telemetry).
   std::array<std::atomic<std::uint64_t>, kNameShardCount> shard_ops_{};
 
-  // All counters live in metrics_ (exposed via fs::FileSystem::Metrics());
-  // c_ caches the counter pointers so hot paths skip the name lookup, and
-  // h_ holds per-operation latency histograms ("op.fsd.<name>.us").
+  // All counters live in metrics_ (exposed via fs::FileSystem::Metrics()
+  // as "fsd.<field>"; Format zeroes them); c_ caches the counter pointers so
+  // hot paths skip the name lookup, and h_ holds per-operation latency
+  // histograms ("op.fsd.<name>.us").
   obs::MetricsRegistry metrics_;
   struct CounterSet {
-    obs::Counter* forces = nullptr;
-    obs::Counter* empty_forces = nullptr;
-    obs::Counter* pages_captured = nullptr;
+    obs::Counter* forces = nullptr;          // group commits that wrote the log
+    obs::Counter* empty_forces = nullptr;    // deadline hit with nothing new
+    obs::Counter* pages_captured = nullptr;  // page images handed to the log
     obs::Counter* piggyback_leader_writes = nullptr;
     obs::Counter* piggyback_leader_verifies = nullptr;
-    obs::Counter* nt_repairs = nullptr;
+    obs::Counter* nt_repairs = nullptr;  // name-table replica repairs
     obs::Counter* recovery_pages_replayed = nullptr;
-    obs::Counter* fast_recoveries = nullptr;
+    obs::Counter* fast_recoveries = nullptr;  // VAM-logging fast path taken
+    // Writeback scheduler: non-empty elevator flushes, page writes queued,
+    // and requests merged away by coalescing.
     obs::Counter* home_write_batches = nullptr;
     obs::Counter* home_write_requests = nullptr;
     obs::Counter* home_writes_coalesced = nullptr;
-    obs::Counter* read_retries = nullptr;
+    obs::Counter* read_retries = nullptr;  // soft read errors retried
+    // Group commit (section 5.4). space_forces counts ops that had to force
+    // (or wait for) the log because the capture budget was exhausted;
+    // force_requests the callers JoinCommit elected leader; piggybacked the
+    // callers committed by a force another caller led. space_forces and the
+    // leader/follower split depend on thread scheduling.
     obs::Counter* space_forces = nullptr;
+    obs::Counter* force_requests = nullptr;
+    obs::Counter* piggybacked = nullptr;
+    // Checkpointing (section 4g): checkpoint batches, home pages written by
+    // every checkpoint (third entry included), durable pointer moves, and
+    // third entries that still had pages to write.
     obs::Counter* ckpt_batches = nullptr;
     obs::Counter* ckpt_pages = nullptr;
     obs::Counter* ckpt_advances = nullptr;
     obs::Counter* third_flush_fallbacks = nullptr;
+    // Media faults (section 4h): repairs from redundancy, name-table homes
+    // remapped to spares, content-CRC mismatches, reads whose soft-error
+    // retry gave up, and the Scrub repair pass's outcomes.
     obs::Counter* repairs = nullptr;
     obs::Counter* remaps = nullptr;
     obs::Counter* corruption_detected = nullptr;

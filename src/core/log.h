@@ -69,10 +69,12 @@ inline constexpr sim::Lba kNoLba = 0xFFFFFFFFu;
 // needs (DESIGN.md section 4e).
 class CommitQueue {
  public:
-  struct Stats {
-    std::uint64_t force_requests = 0;  // Joins that elected a leader
-    std::uint64_t piggybacked = 0;     // Joins satisfied by another's force
-  };
+  // The role a Join took. kLeader MUST run the force and then Publish its
+  // outcome. kDurable found every update up to `seq` durable without
+  // waiting. kFollowed waited for a force led by another caller and needs
+  // none of its own: the force made `seq` durable, or covered it and failed
+  // (a *piggyback* either way).
+  enum class Role : std::uint8_t { kLeader, kDurable, kFollowed };
 
   // Join's `seq` for a caller that needs some force to finish after the
   // call, whatever the update sequence says: a page can be pending capture
@@ -93,36 +95,30 @@ class CommitQueue {
     return durable_seq_;
   }
 
-  // Returns true when the caller is elected leader: it MUST run the force
-  // and then Publish its outcome. Returns false when the caller needs no
-  // force of its own: updates up to `seq` are durable (*status is OK), or
-  // the force it waited for covered `seq` and failed (*status is that
-  // force's error). Any force finishing while the caller waits covers
-  // kNextForce. MUST be called holding no lock a force takes.
-  bool Join(std::uint64_t seq, Status* status) {
+  // Elects the caller leader when no force is in flight; otherwise waits
+  // for the force in flight and checks again. *status is OK unless the
+  // caller followed a force that covered `seq` and failed (that force's
+  // error). Any force finishing while the caller waits covers kNextForce.
+  // MUST be called holding no lock a force takes.
+  Role Join(std::uint64_t seq, Status* status) {
     std::unique_lock<std::mutex> lock(mu_);
     bool waited = false;
     for (;;) {
       if (durable_seq_ >= seq) {
-        if (waited) {
-          ++stats_.piggybacked;
-        }
         *status = OkStatus();
-        return false;
+        return waited ? Role::kFollowed : Role::kDurable;
       }
       if (!in_flight_) {
         in_flight_ = true;
-        ++stats_.force_requests;
-        return true;
+        return Role::kLeader;
       }
       const std::uint64_t round = rounds_;
       done_cv_.wait(lock, [&] { return rounds_ != round; });
       waited = true;
       // A force that covered `seq` without making it durable failed.
       if (durable_seq_ < seq && (seq == kNextForce || last_seq_ >= seq)) {
-        ++stats_.piggybacked;
         *status = last_status_;
-        return false;
+        return Role::kFollowed;
       }
     }
   }
@@ -141,11 +137,6 @@ class CommitQueue {
     done_cv_.notify_all();
   }
 
-  Stats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-
  private:
   std::atomic<std::uint64_t> update_seq_{0};
 
@@ -156,7 +147,6 @@ class CommitQueue {
   std::uint64_t last_seq_ = 0;       // sequence the last force captured
   bool in_flight_ = false;           // a leader is forcing
   Status last_status_ = OkStatus();  // outcome of the last force
-  Stats stats_;
 };
 
 // One logged page: its image and where it lives on disk (secondary is

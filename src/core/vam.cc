@@ -148,7 +148,7 @@ Status Vam::Load(sim::BlockDevice* disk, sim::Lba base, std::uint32_t sectors,
   for (std::uint64_t& word : nt_free_.mutable_words()) {
     word = pr.U64();
   }
-  shadow_.Clear();
+  shadow_.clear();
   if (lsn != nullptr) {
     *lsn = saved_lsn;
   }

@@ -1,9 +1,10 @@
 // The FSD Volume Allocation Map (paper section 5.5).
 //
 // Entirely volatile during normal operation: no disk writes at all. Pages of
-// deleted files go to a *shadow* bitmap first, because they are not really
-// free until the delete is committed (logged); CommitShadow() folds them
-// into the free map at each group commit.
+// deleted files go to a *shadow* list of freed extents first, because they
+// are not really free until the delete is committed (logged); each group
+// commit takes the shadow at capture and folds it into the free map once
+// the log write is durable (TakeShadow/FoldShadow).
 //
 // The map is saved to its disk region only on orderly shutdown, stamped with
 // the boot count; at mount a stamp mismatch means the save is stale and the
@@ -20,6 +21,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <vector>
 
 #include "src/fsapi/extent.h"
 #include "src/sim/device.h"
@@ -57,17 +59,16 @@ Status ParseDeltas(std::span<const std::uint8_t> page,
 class Vam {
  public:
   Vam(std::uint32_t total_sectors, std::uint32_t nt_pages)
-      : free_(total_sectors, false),
-        shadow_(total_sectors, false),
-        nt_free_(nt_pages, false) {}
+      : free_(total_sectors, false), nt_free_(nt_pages, false) {}
 
-  // Reinitializes all three maps to the all-used state for a volume with
-  // these dimensions (what the constructor builds). Mount/Format use this
-  // instead of replacing the Vam object, so the mutex stays put.
+  // Reinitializes both maps to the all-used state for a volume with these
+  // dimensions (what the constructor builds) and empties the shadow.
+  // Mount/Format use this instead of replacing the Vam object, so the mutex
+  // stays put.
   void Reset(std::uint32_t total_sectors, std::uint32_t nt_pages) {
     std::lock_guard<std::mutex> lock(mu_);
     free_ = Bitmap(total_sectors, false);
-    shadow_ = Bitmap(total_sectors, false);
+    shadow_.clear();
     nt_free_ = Bitmap(nt_pages, false);
   }
 
@@ -92,38 +93,41 @@ class Vam {
     return free_.Count();
   }
 
-  // ---- Shadow map for uncommitted deletes.
+  // ---- Shadow for uncommitted deletes: the extents freed since the last
+  // capture. They are disjoint until folded — a shadowed sector is not
+  // free, so it cannot be allocated and deleted again before then.
   void MarkFreeShadow(const fs::Extent& run) {
     std::lock_guard<std::mutex> lock(mu_);
-    shadow_.SetRange(run.start, run.count, true);
-  }
-  void CommitShadow() {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.OrWith(shadow_);
-    shadow_.Clear();
+    shadow_.push_back(run);
   }
   std::uint32_t ShadowCount() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return shadow_.Count();
+    std::uint32_t n = 0;
+    for (const fs::Extent& run : shadow_) {
+      n += run.count;
+    }
+    return n;
   }
 
   // ---- Shadow handoff for the parallel commit path. The log capture phase
-  // *takes* the accumulated shadow (new deletes keep shadowing into a fresh
-  // map while the append runs), then folds it into the free map once the
-  // group is durable — or merges it back if the append fails.
-  Bitmap TakeShadow() {
+  // *takes* the accumulated shadow (new deletes keep shadowing into an
+  // empty list while the append runs), then folds it into the free map
+  // once the group is durable — or merges it back if the append fails.
+  std::vector<fs::Extent> TakeShadow() {
     std::lock_guard<std::mutex> lock(mu_);
-    Bitmap taken = std::move(shadow_);
-    shadow_ = Bitmap(taken.size(), false);
+    std::vector<fs::Extent> taken;
+    taken.swap(shadow_);
     return taken;
   }
-  void FoldShadow(const Bitmap& taken) {
+  void FoldShadow(const std::vector<fs::Extent>& taken) {
     std::lock_guard<std::mutex> lock(mu_);
-    free_.OrWith(taken);
+    for (const fs::Extent& run : taken) {
+      free_.SetRange(run.start, run.count, true);
+    }
   }
-  void MergeShadow(const Bitmap& taken) {
+  void MergeShadow(const std::vector<fs::Extent>& taken) {
     std::lock_guard<std::mutex> lock(mu_);
-    shadow_.OrWith(taken);
+    shadow_.insert(shadow_.end(), taken.begin(), taken.end());
   }
 
   // ---- Name-table page allocation map (piggybacks on the VAM save).
@@ -153,7 +157,7 @@ class Vam {
  private:
   mutable std::mutex mu_;
   Bitmap free_;
-  Bitmap shadow_;
+  std::vector<fs::Extent> shadow_;
   Bitmap nt_free_;
 };
 

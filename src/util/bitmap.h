@@ -138,17 +138,6 @@ class Bitmap {
     return best;
   }
 
-  // Merges another bitmap with OR (used to fold the shadow free map into
-  // the VAM at commit).
-  void OrWith(const Bitmap& other) {
-    CEDAR_CHECK(other.size_ == size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      words_[i] |= other.words_[i];
-    }
-  }
-
-  void Clear() { std::fill(words_.begin(), words_.end(), 0ull); }
-
   // Raw word access for serialization.
   const std::vector<std::uint64_t>& words() const { return words_; }
   std::vector<std::uint64_t>& mutable_words() { return words_; }

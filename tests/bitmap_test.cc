@@ -72,15 +72,6 @@ TEST(BitmapTest, LongestRun) {
   EXPECT_EQ(bits.LongestRun(0, 24), 4u);  // clipped window
 }
 
-TEST(BitmapTest, OrWith) {
-  Bitmap a(128);
-  Bitmap b(128);
-  a.SetRange(0, 10, true);
-  b.SetRange(5, 10, true);
-  a.OrWith(b);
-  EXPECT_EQ(a.Count(), 15u);
-}
-
 TEST(BitmapTest, EqualityAndWords) {
   Bitmap a(65, true);
   Bitmap b(65, true);

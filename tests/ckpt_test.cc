@@ -29,6 +29,7 @@
 
 #include "src/core/fsd.h"
 #include "src/fsapi/file_system.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -144,9 +145,14 @@ TEST_F(CkptTest, DaemonBoundsRecoveryWindowUnderMutators) {
   // The workload wrote far more log than the 400-sector volume holds, so
   // the checkpoint step must have durably advanced the pointer at least
   // once.
-  const FsdStats stats = fsd_.stats();
-  EXPECT_GT(stats.ckpt_advances, 0u) << "step never advanced the pointer";
-  EXPECT_GT(stats.ckpt_batches, 0u);
+  const obs::Counter* ckpt_advances =
+      fsd_.Metrics().FindCounter("fsd.ckpt_advances");
+  ASSERT_NE(ckpt_advances, nullptr);
+  const obs::Counter* ckpt_batches =
+      fsd_.Metrics().FindCounter("fsd.ckpt_batches");
+  ASSERT_NE(ckpt_batches, nullptr);
+  EXPECT_GT(ckpt_advances->value(), 0u) << "step never advanced the pointer";
+  EXPECT_GT(ckpt_batches->value(), 0u);
 
   // The step ran under force_mu_ right after the last force, so the
   // window read (which takes force_mu_) already sees the drained log — a
@@ -175,16 +181,22 @@ TEST_F(CkptTest, WindowIsBoundedWhenForceReturns) {
     ASSERT_TRUE(window.ok()) << window.status();
     ASSERT_LE(*window, bound) << "after force " << i;
   }
-  EXPECT_GT(fsd_.stats().ckpt_advances, 0u);
+  const obs::Counter* ckpt_advances =
+      fsd_.Metrics().FindCounter("fsd.ckpt_advances");
+  ASSERT_NE(ckpt_advances, nullptr);
+  EXPECT_GT(ckpt_advances->value(), 0u);
 }
 
 TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
+  const obs::Counter* ckpt_advances =
+      fsd_.Metrics().FindCounter("fsd.ckpt_advances");
+  ASSERT_NE(ckpt_advances, nullptr);
   for (int cycle = 0; cycle < 3; ++cycle) {
     // A clean Mount reformats the log, so each cycle must prove the step
     // runs again after the remount: churn until the advance counter moves
     // again.
-    const std::uint64_t advances_before = fsd_.stats().ckpt_advances;
-    for (int i = 0; i < 500 && fsd_.stats().ckpt_advances == advances_before;
+    const std::uint64_t advances_before = ckpt_advances->value();
+    for (int i = 0; i < 500 && ckpt_advances->value() == advances_before;
          ++i) {
       ASSERT_TRUE(fsd_.CreateFile("c" + std::to_string(cycle) + "/f" +
                                       std::to_string(i % 9),
@@ -192,7 +204,7 @@ TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
                       .ok());
       ASSERT_TRUE(fsd_.Force().ok());
     }
-    EXPECT_GT(fsd_.stats().ckpt_advances, advances_before)
+    EXPECT_GT(ckpt_advances->value(), advances_before)
         << "no checkpoint advance after mount cycle " << cycle;
     ASSERT_TRUE(fsd_.Shutdown().ok());
     // Unmounted: the maintenance surface reports the precondition failure
@@ -287,9 +299,17 @@ TEST(CkptFallbackTest, ThirdFlushFallbackCountsWithoutTheDaemon) {
                     .ok());
     ASSERT_TRUE(fsd.Force().ok());
   }
-  EXPECT_GT(fsd.stats().third_flush_fallbacks, 0u);
-  EXPECT_GT(fsd.stats().ckpt_pages, 0u);
-  EXPECT_EQ(fsd.stats().ckpt_batches, 0u);
+  const obs::Counter* third_flush_fallbacks =
+      fsd.Metrics().FindCounter("fsd.third_flush_fallbacks");
+  ASSERT_NE(third_flush_fallbacks, nullptr);
+  const obs::Counter* ckpt_pages = fsd.Metrics().FindCounter("fsd.ckpt_pages");
+  ASSERT_NE(ckpt_pages, nullptr);
+  const obs::Counter* ckpt_batches =
+      fsd.Metrics().FindCounter("fsd.ckpt_batches");
+  ASSERT_NE(ckpt_batches, nullptr);
+  EXPECT_GT(third_flush_fallbacks->value(), 0u);
+  EXPECT_GT(ckpt_pages->value(), 0u);
+  EXPECT_EQ(ckpt_batches->value(), 0u);
   ASSERT_TRUE(fsd.Shutdown().ok());
 }
 
@@ -321,9 +341,11 @@ TEST(CkptFallbackTest, CheckpointToAGroupAfterASkipMarkerKeepsItLogged) {
   }
   // The maximal checkpoint target is now that group's first LSN: nothing
   // lies below it, so no page goes home.
-  const std::uint64_t pages_before = fsd.stats().ckpt_pages;
+  const obs::Counter* ckpt_pages = fsd.Metrics().FindCounter("fsd.ckpt_pages");
+  ASSERT_NE(ckpt_pages, nullptr);
+  const std::uint64_t pages_before = ckpt_pages->value();
   ASSERT_TRUE(fsd.Checkpoint().ok());
-  EXPECT_EQ(fsd.stats().ckpt_pages, pages_before);
+  EXPECT_EQ(ckpt_pages->value(), pages_before);
   ASSERT_TRUE(fsd.Shutdown().ok());
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -58,6 +59,47 @@ class ConcurrencyTest : public ::testing::Test {
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_EQ(report->violations(), 0u) << report->Summary();
     EXPECT_TRUE(fsd_.CheckNameTableInvariants().ok());
+  }
+
+  // Calls Force() from kThreads threads at once and returns their results.
+  // A quiesced section holds force_mu_ meanwhile, so the first Force() is
+  // elected leader and blocks there while the others join as followers.
+  std::vector<Status> ForceFromAllThreads() {
+    std::atomic<int> arrived{0};
+    std::vector<Status> results(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    const Status quiesced = fsd_.RunQuiesced([&] {
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          ++arrived;
+          results[t] = fsd_.Force();
+        });
+      }
+      while (arrived.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return OkStatus();
+    });
+    EXPECT_TRUE(quiesced.ok()) << quiesced;
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    return results;
+  }
+
+  // Makes every log write fail (or succeed again).
+  void SetLogWriteFaults(bool fail) {
+    const sim::Lba log_begin = fsd_.layout().log_base;
+    const sim::Lba log_end = log_begin + fsd_.config().log_sectors;
+    for (sim::Lba lba = log_begin; lba < log_end; ++lba) {
+      if (fail) {
+        disk_.InjectPersistentFault(lba, sim::FaultMode::kWriteFail);
+      } else {
+        disk_.ClearPersistentFault(lba);
+      }
+    }
   }
 
   sim::VirtualClock clock_;
@@ -163,6 +205,14 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   // publishes, so rounds run until at least one rendezvous is observed;
   // the sharing invariants below hold for every schedule.
   constexpr int kMaxRounds = 200;
+  const obs::Counter* forces = fsd_.Metrics().FindCounter("fsd.forces");
+  ASSERT_NE(forces, nullptr);
+  const obs::Counter* force_requests =
+      fsd_.Metrics().FindCounter("fsd.force_requests");
+  ASSERT_NE(force_requests, nullptr);
+  const obs::Counter* piggybacked =
+      fsd_.Metrics().FindCounter("fsd.piggybacked");
+  ASSERT_NE(piggybacked, nullptr);
   int rounds = 0;
   Barrier barrier(kThreads);
   std::atomic<int> failures{0};
@@ -181,7 +231,7 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
       barrier.Arrive();
       if (tid == 0) {
         ++rounds;
-        if (fsd_.stats().piggybacked > 0) {
+        if (piggybacked->value() > 0) {
           done.store(true, std::memory_order_relaxed);
         }
       }
@@ -201,17 +251,16 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  const FsdStats stats = fsd_.stats();
   const std::uint64_t force_calls =
       static_cast<std::uint64_t>(kThreads) * rounds;
-  EXPECT_GT(stats.piggybacked, 0u);
+  EXPECT_GT(piggybacked->value(), 0u);
   // Every round produced kThreads Force() calls but needed one log write
   // for them: the leader's force covers the whole barrier generation.
-  EXPECT_LT(stats.forces, force_calls / 2);
+  EXPECT_LT(forces->value(), force_calls / 2);
   // A Force() arriving after the group's write already published returns
   // without touching either counter, so <= rather than ==.
-  EXPECT_LE(stats.force_requests + stats.piggybacked, force_calls);
-  EXPECT_GE(stats.force_requests, 1u);
+  EXPECT_LE(force_requests->value() + piggybacked->value(), force_calls);
+  EXPECT_GE(force_requests->value(), 1u);
   ExpectClean();
 }
 
@@ -226,7 +275,9 @@ TEST_F(ConcurrencyTest, EveryBarrierRoundCostsExactlyOneForce) {
         fsd_.CreateFile("round.t" + std::to_string(t), Bytes(64, 6)).ok());
   }
   ASSERT_TRUE(fsd_.Force().ok());
-  const std::uint64_t forces_before = fsd_.stats().forces;
+  const obs::Counter* forces = fsd_.Metrics().FindCounter("fsd.forces");
+  ASSERT_NE(forces, nullptr);
+  const std::uint64_t forces_before = forces->value();
   Barrier barrier(kThreads);
   std::atomic<int> failures{0};
   auto worker = [&](int tid) {
@@ -251,7 +302,7 @@ TEST_F(ConcurrencyTest, EveryBarrierRoundCostsExactlyOneForce) {
     t.join();
   }
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(fsd_.stats().forces - forces_before,
+  EXPECT_EQ(forces->value() - forces_before,
             static_cast<std::uint64_t>(kRounds));
   ExpectClean();
 }
@@ -268,57 +319,81 @@ TEST_F(ConcurrencyTest, FailedGroupForceFailsFollowersAndIsRetried) {
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(fsd_.Touch("fail.t" + std::to_string(t)).ok());
   }
-  const sim::Lba log_begin = fsd_.layout().log_base;
-  const sim::Lba log_end = log_begin + fsd_.config().log_sectors;
-  for (sim::Lba lba = log_begin; lba < log_end; ++lba) {
-    disk_.InjectPersistentFault(lba, sim::FaultMode::kWriteFail);
-  }
-  const FsdStats before = fsd_.stats();
+  SetLogWriteFaults(true);
+  const obs::Counter* forces = fsd_.Metrics().FindCounter("fsd.forces");
+  ASSERT_NE(forces, nullptr);
+  const obs::Counter* force_requests =
+      fsd_.Metrics().FindCounter("fsd.force_requests");
+  ASSERT_NE(force_requests, nullptr);
+  const obs::Counter* piggybacked =
+      fsd_.Metrics().FindCounter("fsd.piggybacked");
+  ASSERT_NE(piggybacked, nullptr);
+  const std::uint64_t forces_before = forces->value();
+  const std::uint64_t requests_before = force_requests->value();
+  const std::uint64_t piggybacked_before = piggybacked->value();
 
-  // The quiesced section holds force_mu_, so the first Force() is elected
-  // leader and blocks there while the others join as its followers.
-  std::atomic<int> arrived{0};
-  std::vector<Status> results(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  const Status quiesced = fsd_.RunQuiesced([&] {
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        ++arrived;
-        results[t] = fsd_.Force();
-      });
-    }
-    while (arrived.load() < kThreads) {
-      std::this_thread::yield();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    return OkStatus();
-  });
-  ASSERT_TRUE(quiesced.ok()) << quiesced;
-  for (std::thread& t : threads) {
-    t.join();
-  }
+  const std::vector<Status> results = ForceFromAllThreads();
   for (const Status& result : results) {
     EXPECT_EQ(result.code(), ErrorCode::kSectorDamaged) << result;
     EXPECT_EQ(result.message(), results[0].message());
   }
-  const FsdStats after = fsd_.stats();
   // Each Force() led a force or followed one; none found its update
   // durable, and none of the attempts reached the log.
-  EXPECT_EQ((after.force_requests - before.force_requests) +
-                (after.piggybacked - before.piggybacked),
+  EXPECT_EQ((force_requests->value() - requests_before) +
+                (piggybacked->value() - piggybacked_before),
             static_cast<std::uint64_t>(kThreads));
-  EXPECT_GE(after.piggybacked - before.piggybacked, 1u);
-  EXPECT_EQ(after.forces, before.forces);
+  EXPECT_GE(piggybacked->value() - piggybacked_before, 1u);
+  EXPECT_EQ(forces->value(), forces_before);
   EXPECT_TRUE(fsd_.HasPendingUpdates());
 
-  for (sim::Lba lba = log_begin; lba < log_end; ++lba) {
-    disk_.ClearPersistentFault(lba);
-  }
+  SetLogWriteFaults(false);
   ASSERT_TRUE(fsd_.Force().ok());
-  EXPECT_EQ(fsd_.stats().forces, after.forces + 1);
+  EXPECT_EQ(forces->value(), forces_before + 1);
   EXPECT_FALSE(fsd_.HasPendingUpdates());
   ExpectClean();
+}
+
+TEST_F(ConcurrencyTest, GroupCommitCountersLiveInTheRegistry) {
+  // fsd.force_requests counts the Force() calls that led a force and
+  // fsd.piggybacked those that followed one, so their sum is the number of
+  // calls that joined a force. While every log write fails no update
+  // becomes durable, so every concurrent Force() joins one — the count is
+  // exact under any schedule.
+  const obs::Counter* force_requests =
+      fsd_.Metrics().FindCounter("fsd.force_requests");
+  ASSERT_NE(force_requests, nullptr);
+  const obs::Counter* piggybacked =
+      fsd_.Metrics().FindCounter("fsd.piggybacked");
+  ASSERT_NE(piggybacked, nullptr);
+  EXPECT_EQ(force_requests->value(), 0u);
+  EXPECT_EQ(piggybacked->value(), 0u);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(
+        fsd_.CreateFile("count.t" + std::to_string(t), Bytes(64, 8)).ok());
+  }
+  const std::uint64_t requests_before = force_requests->value();
+  const std::uint64_t joined_before =
+      requests_before + piggybacked->value();
+  SetLogWriteFaults(true);
+  for (const Status& result : ForceFromAllThreads()) {
+    EXPECT_FALSE(result.ok());
+  }
+  const std::uint64_t joined =
+      joined_before + static_cast<std::uint64_t>(kThreads);
+  EXPECT_EQ(force_requests->value() + piggybacked->value(), joined);
+  EXPECT_GT(force_requests->value(), requests_before);
+
+  // The retry leads one more force; a Force() with nothing new since then
+  // joins none.
+  SetLogWriteFaults(false);
+  ASSERT_TRUE(fsd_.Force().ok());
+  ASSERT_TRUE(fsd_.Force().ok());
+  EXPECT_EQ(force_requests->value() + piggybacked->value(), joined + 1);
+
+  // Format zeroes both with the rest of the registry.
+  ASSERT_TRUE(fsd_.Format().ok());
+  EXPECT_EQ(force_requests->value(), 0u);
+  EXPECT_EQ(piggybacked->value(), 0u);
 }
 
 TEST_F(ConcurrencyTest, DaemonHandlesDeadlineForces) {
@@ -330,7 +405,9 @@ TEST_F(ConcurrencyTest, DaemonHandlesDeadlineForces) {
   clock_.Advance(600 * sim::kMillisecond);
   ASSERT_TRUE(fsd_.Tick().ok());
   EXPECT_FALSE(fsd_.HasPendingUpdates());
-  EXPECT_GE(fsd_.stats().forces, 1u);
+  const obs::Counter* forces = fsd_.Metrics().FindCounter("fsd.forces");
+  ASSERT_NE(forces, nullptr);
+  EXPECT_GE(forces->value(), 1u);
 
   // And via an ordinary operation rather than Tick().
   ASSERT_TRUE(fsd_.Touch("deadline.test").ok());
@@ -632,9 +709,12 @@ WorkloadFootprint RunPinnedWorkload(int threads, int total_ops) {
   footprint.writes = disk_stats.writes;
   footprint.sectors_read = disk_stats.sectors_read;
   footprint.sectors_written = disk_stats.sectors_written;
-  const FsdStats stats = fsd.stats();
-  footprint.forces = stats.forces;
-  footprint.pages_captured = stats.pages_captured;
+  const obs::Counter* forces = fsd.Metrics().FindCounter("fsd.forces");
+  const obs::Counter* pages_captured =
+      fsd.Metrics().FindCounter("fsd.pages_captured");
+  CEDAR_CHECK(forces != nullptr && pages_captured != nullptr);
+  footprint.forces = forces->value();
+  footprint.pages_captured = pages_captured->value();
   auto report = fsd.Fsck();
   CEDAR_CHECK(report.ok());
   footprint.fsck_violations = report->violations();

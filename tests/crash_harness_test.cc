@@ -23,6 +23,7 @@
 #include "src/core/log.h"
 #include "src/crash/harness.h"
 #include "src/crash/workload.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -146,7 +147,10 @@ TEST(TransientReadErrorTest, RetriedWithinLimitAndCounted) {
   disk.InjectTransientReadError(/*lba=*/0, /*failures=*/2);
   Fsd fsd(&disk, SmallConfig());
   ASSERT_TRUE(fsd.Mount().ok());
-  EXPECT_EQ(fsd.stats().read_retries, 2u);
+  const obs::Counter* read_retries =
+      fsd.Metrics().FindCounter("fsd.read_retries");
+  ASSERT_NE(read_retries, nullptr);
+  EXPECT_EQ(read_retries->value(), 2u);
   auto handle = fsd.Open("glitch");
   ASSERT_TRUE(handle.ok());
   std::vector<std::uint8_t> out(handle->byte_size);
@@ -168,7 +172,10 @@ TEST(TransientReadErrorTest, ExhaustedRetriesSurfaceTheError) {
   Status mounted = fsd.Mount();
   ASSERT_FALSE(mounted.ok());
   EXPECT_EQ(mounted.code(), ErrorCode::kReadTransient);
-  EXPECT_EQ(fsd.stats().read_retries, Fsd::kReadRetryLimit);
+  const obs::Counter* read_retries =
+      fsd.Metrics().FindCounter("fsd.read_retries");
+  ASSERT_NE(read_retries, nullptr);
+  EXPECT_EQ(read_retries->value(), Fsd::kReadRetryLimit);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
@@ -177,7 +178,10 @@ TEST_F(FsdRecoveryTest, CrashAfterCleanMountReplaysNothingFromTheOldBoot) {
   ASSERT_TRUE(fsd_->Shutdown().ok());
   ASSERT_TRUE(fsd_->Mount().ok());
   Fsd& after = CrashAndRemount();
-  EXPECT_EQ(after.stats().recovery_pages_replayed, 0u);
+  const obs::Counter* recovery_pages_replayed =
+      after.Metrics().FindCounter("fsd.recovery_pages_replayed");
+  ASSERT_NE(recovery_pages_replayed, nullptr);
+  EXPECT_EQ(recovery_pages_replayed->value(), 0u);
   auto list = after.List("b/");
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), 300u);

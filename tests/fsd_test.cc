@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/random.h"
@@ -98,7 +99,9 @@ TEST_F(FsdTest, GroupCommitForcesEveryHalfSecond) {
   clock_.Advance(600 * sim::kMillisecond);
   ASSERT_TRUE(fsd_.Tick().ok());
   EXPECT_FALSE(fsd_.HasPendingUpdates());
-  EXPECT_GE(fsd_.stats().forces, 1u);
+  const obs::Counter* forces = fsd_.Metrics().FindCounter("fsd.forces");
+  ASSERT_NE(forces, nullptr);
+  EXPECT_GE(forces->value(), 1u);
 }
 
 TEST_F(FsdTest, UpdatesWithinWindowShareOneLogWrite) {
@@ -172,7 +175,10 @@ TEST_F(FsdTest, EmptyCreateThenWritePiggybacksLeader) {
   ASSERT_TRUE(fsd_.Write(*handle, 0, Bytes(1024, 3)).ok());
   // One combined leader+data write.
   EXPECT_EQ(disk_.stats().writes, 1u);
-  EXPECT_EQ(fsd_.stats().piggyback_leader_writes, 1u);
+  const obs::Counter* piggyback_leader_writes =
+      fsd_.Metrics().FindCounter("fsd.piggyback_leader_writes");
+  ASSERT_NE(piggyback_leader_writes, nullptr);
+  EXPECT_EQ(piggyback_leader_writes->value(), 1u);
 }
 
 TEST_F(FsdTest, FirstReadVerifiesLeaderByPiggyback) {
@@ -185,7 +191,10 @@ TEST_F(FsdTest, FirstReadVerifiesLeaderByPiggyback) {
   // One read covering leader + both data pages.
   EXPECT_EQ(disk_.stats().reads, 1u);
   EXPECT_EQ(disk_.stats().sectors_read, 3u);
-  EXPECT_EQ(fsd_.stats().piggyback_leader_verifies, 1u);
+  const obs::Counter* piggyback_leader_verifies =
+      fsd_.Metrics().FindCounter("fsd.piggyback_leader_verifies");
+  ASSERT_NE(piggyback_leader_verifies, nullptr);
+  EXPECT_EQ(piggyback_leader_verifies->value(), 1u);
   // Second read: no verification needed.
   disk_.ResetStats();
   ASSERT_TRUE(fsd_.Read(*handle, 0, out).ok());
@@ -267,7 +276,10 @@ TEST_F(FsdTest, NameTablePageDamageRepairedFromReplica) {
   auto list = again.List("r/");
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), 40u);
-  EXPECT_GE(again.stats().nt_repairs, 1u);
+  const obs::Counter* nt_repairs =
+      again.Metrics().FindCounter("fsd.nt_repairs");
+  ASSERT_NE(nt_repairs, nullptr);
+  EXPECT_GE(nt_repairs->value(), 1u);
 }
 
 TEST_F(FsdTest, NameTableReplicaDamageAlsoRepaired) {

@@ -16,6 +16,7 @@
 
 #include "src/core/fsd.h"
 #include "src/core/vam.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/random.h"
@@ -101,7 +102,10 @@ TEST_F(VamLoggingTest, FastPathTakenAndStateMatchesRebuild) {
 
   // Fast path.
   Fsd& fast = CrashAndRemount(/*vam_logging=*/true);
-  EXPECT_EQ(fast.stats().fast_recoveries, 1u);
+  const obs::Counter* fast_recoveries =
+      fast.Metrics().FindCounter("fsd.fast_recoveries");
+  ASSERT_NE(fast_recoveries, nullptr);
+  EXPECT_EQ(fast_recoveries->value(), 1u);
   EXPECT_EQ(fast.FreeSectors(), live_free);
 
   // The slow path over the same image agrees exactly.
@@ -109,7 +113,10 @@ TEST_F(VamLoggingTest, FastPathTakenAndStateMatchesRebuild) {
   disk_.Reopen();
   Fsd slow(&disk_, Config(false));
   ASSERT_TRUE(slow.Mount().ok());
-  EXPECT_EQ(slow.stats().fast_recoveries, 0u);
+  const obs::Counter* slow_fast_recoveries =
+      slow.Metrics().FindCounter("fsd.fast_recoveries");
+  ASSERT_NE(slow_fast_recoveries, nullptr);
+  EXPECT_EQ(slow_fast_recoveries->value(), 0u);
   EXPECT_EQ(slow.FreeSectors(), live_free);
 }
 
@@ -125,7 +132,10 @@ TEST_F(VamLoggingTest, FastRecoveryDoesNotScanNameTable) {
   Fsd fast(&disk_, Config(true));
   ASSERT_TRUE(fast.Mount().ok());
   const sim::Micros fast_time = clock_.now() - t0;
-  EXPECT_EQ(fast.stats().fast_recoveries, 1u);
+  const obs::Counter* fast_recoveries =
+      fast.Metrics().FindCounter("fsd.fast_recoveries");
+  ASSERT_NE(fast_recoveries, nullptr);
+  EXPECT_EQ(fast_recoveries->value(), 1u);
 
   disk_.CrashNow();
   disk_.Reopen();
@@ -157,7 +167,10 @@ TEST_F(VamLoggingTest, SurvivesLogWrapWithBaseResnapshots) {
   const std::uint32_t live_free = fsd_->FreeSectors();
 
   Fsd& after = CrashAndRemount();
-  EXPECT_EQ(after.stats().fast_recoveries, 1u);
+  const obs::Counter* fast_recoveries =
+      after.Metrics().FindCounter("fsd.fast_recoveries");
+  ASSERT_NE(fast_recoveries, nullptr);
+  EXPECT_EQ(fast_recoveries->value(), 1u);
   EXPECT_EQ(after.FreeSectors(), live_free);
   EXPECT_TRUE(after.CheckNameTableInvariants().ok());
 }
@@ -208,7 +221,10 @@ TEST_F(VamLoggingTest, CleanShutdownAndRemountStillWork) {
   Fsd again(&disk_, Config(true));
   ASSERT_TRUE(again.Mount().ok());
   EXPECT_EQ(again.FreeSectors(), live_free);
-  EXPECT_EQ(again.stats().fast_recoveries, 0u);  // clean path, no recovery
+  const obs::Counter* fast_recoveries =
+      again.Metrics().FindCounter("fsd.fast_recoveries");
+  ASSERT_NE(fast_recoveries, nullptr);
+  EXPECT_EQ(fast_recoveries->value(), 0u);  // clean path, no recovery
   auto handle = again.Open("c/7");
   ASSERT_TRUE(handle.ok());
 }
@@ -226,7 +242,10 @@ TEST_F(VamLoggingTest, DamagedBaseFallsBackToRebuild) {
   disk_.DamageSectors(fsd_->layout().vam_base, 1);
   Fsd after(&disk_, Config(true));
   ASSERT_TRUE(after.Mount().ok());
-  EXPECT_EQ(after.stats().fast_recoveries, 0u);
+  const obs::Counter* fast_recoveries =
+      after.Metrics().FindCounter("fsd.fast_recoveries");
+  ASSERT_NE(fast_recoveries, nullptr);
+  EXPECT_EQ(fast_recoveries->value(), 0u);
   EXPECT_EQ(after.FreeSectors(), live_free);
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
@@ -245,12 +246,21 @@ TEST(FsdWritebackTest, ThirdFlushCoalescesHomeWrites) {
     CEDAR_CHECK_OK(fsd.Force());
   }
   EXPECT_GT(fsd.log_stats().third_entries, 0u);
-  EXPECT_GT(fsd.stats().ckpt_pages, 0u);
-  EXPECT_GT(fsd.stats().home_write_batches, 0u);
-  EXPECT_GT(fsd.stats().home_writes_coalesced, 0u);
-  EXPECT_LT(fsd.stats().home_write_requests -
-                fsd.stats().home_writes_coalesced,
-            fsd.stats().home_write_requests);
+  const obs::Counter* ckpt_pages = fsd.Metrics().FindCounter("fsd.ckpt_pages");
+  ASSERT_NE(ckpt_pages, nullptr);
+  const obs::Counter* batches =
+      fsd.Metrics().FindCounter("fsd.home_write_batches");
+  ASSERT_NE(batches, nullptr);
+  const obs::Counter* requests =
+      fsd.Metrics().FindCounter("fsd.home_write_requests");
+  ASSERT_NE(requests, nullptr);
+  const obs::Counter* coalesced =
+      fsd.Metrics().FindCounter("fsd.home_writes_coalesced");
+  ASSERT_NE(coalesced, nullptr);
+  EXPECT_GT(ckpt_pages->value(), 0u);
+  EXPECT_GT(batches->value(), 0u);
+  EXPECT_GT(coalesced->value(), 0u);
+  EXPECT_LT(requests->value() - coalesced->value(), requests->value());
 }
 
 TEST(FsdWritebackTest, BatchingReducesThirdFlushDiskTime) {
@@ -271,7 +281,9 @@ TEST(FsdWritebackTest, BatchingReducesThirdFlushDiskTime) {
       }
       CEDAR_CHECK_OK(fsd.Force());
     }
-    CEDAR_CHECK(fsd.stats().ckpt_pages > 0);
+    const obs::Counter* ckpt_pages =
+        fsd.Metrics().FindCounter("fsd.ckpt_pages");
+    CEDAR_CHECK(ckpt_pages != nullptr && ckpt_pages->value() > 0);
     // No daemon and no Checkpoint() call: every checkpoint is a third entry.
     const obs::OpClassAggregate third = tracer.AggregateFor("fsd.ckpt");
     return third.seek_us + third.rotational_us;
@@ -312,7 +324,10 @@ TEST(FsdWritebackTest, CrashTearingCoalescedHomeWriteRecovers) {
   disk.Reopen();
   fsd = std::make_unique<core::Fsd>(&disk, SmallCfg());
   CEDAR_CHECK_OK(fsd->Mount());
-  EXPECT_GT(fsd->stats().recovery_pages_replayed, 0u);
+  const obs::Counter* replayed =
+      fsd->Metrics().FindCounter("fsd.recovery_pages_replayed");
+  ASSERT_NE(replayed, nullptr);
+  EXPECT_GT(replayed->value(), 0u);
   CEDAR_CHECK_OK(fsd->CheckNameTableInvariants());
   for (int i = 0; i < 50; ++i) {
     const std::string name = "crash/f" + std::to_string(i);

@@ -33,10 +33,21 @@ TEST_F(VamTest, MarkUsedAndFree) {
 
 TEST_F(VamTest, ShadowDoesNotFreeUntilCommit) {
   vam_.MarkUsed(fs::Extent{.start = 0, .count = 100});
-  vam_.MarkFreeShadow(fs::Extent{.start = 0, .count = 100});
+  vam_.MarkFreeShadow(fs::Extent{.start = 0, .count = 60});
+  vam_.MarkFreeShadow(fs::Extent{.start = 60, .count = 40});
   EXPECT_EQ(vam_.FreeCount(), kTotal - 100);
   EXPECT_EQ(vam_.ShadowCount(), 100u);
-  vam_.CommitShadow();
+  // A capture takes the shadow; a failed append merges it back.
+  std::vector<fs::Extent> taken = vam_.TakeShadow();
+  EXPECT_EQ(vam_.ShadowCount(), 0u);
+  EXPECT_EQ(vam_.FreeCount(), kTotal - 100);
+  vam_.MarkUsed(fs::Extent{.start = 200, .count = 5});
+  vam_.MarkFreeShadow(fs::Extent{.start = 200, .count = 5});
+  vam_.MergeShadow(taken);
+  EXPECT_EQ(vam_.ShadowCount(), 105u);
+  EXPECT_EQ(vam_.FreeCount(), kTotal - 105);
+  // The durable force folds it into the free map.
+  vam_.FoldShadow(vam_.TakeShadow());
   EXPECT_EQ(vam_.FreeCount(), kTotal);
   EXPECT_EQ(vam_.ShadowCount(), 0u);
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/random.h"
@@ -111,7 +112,9 @@ TEST_F(WorkloadFsTest, BulkUpdateDrivesCommits) {
                          })
                   .ok());
   // The half-second timer fired repeatedly across the bursts.
-  EXPECT_GT(fsd_.stats().forces, 3u);
+  const obs::Counter* forces = fsd_.Metrics().FindCounter("fsd.forces");
+  ASSERT_NE(forces, nullptr);
+  EXPECT_GT(forces->value(), 3u);
   // Rewrites made new versions; the set of distinct names is unchanged.
   auto list = fsd_.List("bulk/");
   ASSERT_TRUE(list.ok());
